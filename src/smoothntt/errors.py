@@ -29,6 +29,10 @@ class LengthMismatch(ValueError):
     """Input vector length differs from the plan's transform length."""
 
 
+class NotReduced(ValueError):
+    """Input vector entry is not a residue in [0, p)."""
+
+
 class OutOfRange(IndexError):
     """Slot index outside [0, n) passed to the digit-reversal map."""
 

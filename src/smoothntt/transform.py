@@ -1,16 +1,17 @@
-"""Exact DFTs over F_p: a direct-definition oracle plus staged mixed-radix FFTs.
+"""Exact DFTs over F_p: a direct-definition oracle plus self-sorting mixed-radix FFTs.
 
 A length-n transform needs an element omega of multiplicative order exactly
 n, which exists iff n | p - 1.  When n factors as r_1 * r_2 * ... * r_s the
 transform decomposes into s stages of r_k-point butterflies.
 
-Layout used by the staged kernels: before stage k the buffer is viewed as a
-(block, digit, tail) array of shape (jw_k, r_k, iw_k), where
-jw_k = r_1*...*r_{k-1} and iw_k = r_{k+1}*...*r_s.  Stage k consumes the
-input digit at stride iw_k and writes the k-th output digit in its place, so
-after the last stage output digits sit at the input strides: the result is
-in digit-reversed slot order and a final permutation restores natural
-coefficient order (`digit_reverse` maps slots to coefficient indices).
+The staged kernels use the self-sorting (Stockham) layout of Temperton's
+mixed-radix FFTs.  Before stage k, with L = r_1*...*r_{k-1} and
+m = n / (L * r_k), the buffer is viewed as an (L, r_k, m) array X, and the
+stage writes a fresh (r_k, L, m) buffer whose row l0 + L*l1 is
+sum_j omega^(m*j*(l0 + L*l1)) * X[l0, j, :].  After the last stage (L = n,
+m = 1) the output is in natural order; every weight is a strided read of
+the one omega^k table.  `raw_order=True` gathers the natural output into
+digit-reversed order (`digit_reverse` maps slots to coefficient indices).
 
 Two kernel variants are provided.  `fft_recursive` multiplies every butterfly
 term by a full twiddle-table entry, exponent zero included: exactly
@@ -24,11 +25,12 @@ tally exactly these performed multiplications and additions; the
 subtractions realizing the negation are counted as additions, the negation
 itself costs nothing.
 
-All kernels run on int64 numpy arrays.  Residues and twiddles are below
-2**31, so single products never overflow and butterfly sums are reduced
-before they can grow past 63 bits; results are bit-exact field values.
+All kernels run on int64 numpy arrays.  Inputs must be residues in [0, p)
+and p < 2**31, so single products never overflow and butterfly sums are
+reduced before they can grow past 63 bits; results are bit-exact field values.
 """
 
+import math
 from dataclasses import dataclass, field as _field
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
     BadRadices,
     LengthMismatch,
     NotADivisor,
+    NotReduced,
     OutOfRange,
     WrongOrder,
 )
@@ -62,16 +65,14 @@ class OpCounts:
 
 
 def digit_reverse(radices: list[int] | tuple[int, ...], slot: int) -> int:
-    """Map a storage slot to its natural coefficient index.
+    """Map a raw-order slot to its natural coefficient index.
 
     The slot is decomposed into digits (d_1, ..., d_s) under the input
     strides iw_k = r_{k+1}*...*r_s and reassembled under the output weights
     jw_k = r_1*...*r_{k-1}.  For an all-2 schedule this is bit reversal; for
     a single radix it is the identity.
     """
-    n = 1
-    for r in radices:
-        n *= r
+    n = math.prod(radices)
     if not 0 <= slot < n:
         raise OutOfRange(f"slot {slot} outside [0, {n})")
     index = 0
@@ -94,20 +95,9 @@ class DigitPermutation:
 
     @classmethod
     def from_radices(cls, radices: tuple[int, ...]) -> "DigitPermutation":
-        n = 1
-        for r in radices:
-            n *= r
-        slots = np.arange(n, dtype=np.int64)
-        forward = np.zeros(n, dtype=np.int64)
-        rem = slots.copy()
-        jw = 1
-        iw = n
-        for r in radices:
-            iw //= r
-            digit = rem // iw
-            rem -= digit * iw
-            forward += digit * jw
-            jw *= r
+        # Index digits (d_s, ..., d_1) read in slot order (d_1, ..., d_s).
+        n = math.prod(radices)
+        forward = np.arange(n, dtype=np.int64).reshape(radices[::-1]).T.reshape(n)
         return cls(n, radices, forward)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -121,10 +111,12 @@ class DigitPermutation:
 class TransformPlan:
     """Precomputed description of one length-n transform over F_p.
 
-    Immutable after construction; safe to share across threads.  Twiddle
-    tables hold omega^k for k in [0, n); stage exponent tables drive the
-    kernels and double as the inverse-transform tables through the reversed
-    twiddle array.
+    The plan holds the radix schedule and one table, omega^k for k in
+    [0, n); the kernels, the inverse and the oracle read every power of
+    omega they need from it.  The kernels only read the plan, but it is not
+    immutable: `dft_naive` and `idft_naive` fill `_naive_cache` on first use
+    with one n x n matrix per direction (128 MiB each at n = 4096).  Threads
+    sharing a plan may each build that matrix on their first oracle call.
     """
 
     params: FieldParams
@@ -133,30 +125,36 @@ class TransformPlan:
     radices: tuple[int, ...]
     twiddles: np.ndarray
     inv_n: FieldElement
-    jweights: tuple[int, ...]
-    iweights: tuple[int, ...]
-    permutation: DigitPermutation
-    inv_twiddles: np.ndarray
-    stage_exponents: tuple[np.ndarray, ...]
     _naive_cache: dict = _field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
         return self.params.p
 
+    @property
+    def permutation(self) -> DigitPermutation:
+        """Slot-to-coefficient map of the raw-order output, built on each read."""
+        return DigitPermutation.from_radices(self.radices)
+
+    def _naive_rows(self, j0: int, j1: int, inverse: bool) -> np.ndarray:
+        """Rows j0 .. j1-1 of M[j, i] = omega^(+-ij), gathered from the table."""
+        n = self.n
+        j = np.arange(j0, j1, dtype=np.int64)
+        if inverse:
+            j = -j % n  # omega^(-ij) = omega^((n - j) * i)
+        return self.twiddles[j[:, None] * np.arange(n, dtype=np.int64) % n]
+
     def _naive_matrix(self, inverse: bool) -> np.ndarray:
         """Cached n x n matrix M[j, i] = omega^(+-ij), built on first use."""
         key = "inv" if inverse else "fwd"
         cached = self._naive_cache.get(key)
         if cached is None:
-            table = self.inv_twiddles if inverse else self.twiddles
             n = self.n
             cached = np.empty((n, n), dtype=np.int64)
-            i = np.arange(n, dtype=np.int64)
             rows = max(1, _NAIVE_BLOCK_ELEMS // n)
             for j0 in range(0, n, rows):
-                j = np.arange(j0, min(j0 + rows, n), dtype=np.int64)
-                cached[j0 : j0 + len(j)] = table[(j[:, None] * i[None, :]) % n]
+                j1 = min(j0 + rows, n)
+                cached[j0:j1] = self._naive_rows(j0, j1, inverse)
             self._naive_cache[key] = cached
         return cached
 
@@ -190,6 +188,17 @@ def _default_radices(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _checked_schedule(radices: list[int] | tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The schedule as a tuple of ints; BadRadices unless each is >= 2 and they multiply to n."""
+    sched = tuple(int(r) for r in radices)
+    for r in sched:
+        if r < 2:
+            raise BadRadices(f"radix {r} < 2")
+    if math.prod(sched) != n:
+        raise BadRadices(f"radices multiply to {math.prod(sched)}, not {n}")
+    return sched
+
+
 def _check_order(params: FieldParams, omega: int, n: int) -> None:
     if not 1 <= omega < params.p:
         raise WrongOrder(f"omega {omega} is not a reduced nonzero residue")
@@ -206,7 +215,7 @@ def plan_transform(
     omega: FieldElement | None = None,
     radices: list[int] | tuple[int, ...] | None = None,
 ) -> TransformPlan:
-    """Validate and precompute everything needed to run length-n transforms.
+    """Validate the arguments and build the twiddle table for length-n transforms.
 
     omega defaults to the smallest order-n element; radices default to the
     nondecreasing prime factors of n.  Raises NotADivisor, WrongOrder or
@@ -214,117 +223,107 @@ def plan_transform(
     """
     if n < 1 or (params.p - 1) % n != 0:
         raise NotADivisor(f"{n} does not divide p - 1 = {params.p - 1}")
-    if radices is None:
-        sched = _default_radices(n)
-    else:
-        sched = tuple(int(r) for r in radices)
-        prod = 1
-        for r in sched:
-            if r < 2:
-                raise BadRadices(f"radix {r} < 2")
-            prod *= r
-        if prod != n:
-            raise BadRadices(f"radices multiply to {prod}, not {n}")
+    sched = _default_radices(n) if radices is None else _checked_schedule(radices, n)
     if omega is None:
         omega = find_generator(params, n)
     else:
         _check_order(params, omega, n)
-
-    s = len(sched)
-    iweights = [1] * s
-    for k in range(s - 2, -1, -1):
-        iweights[k] = iweights[k + 1] * sched[k + 1]
-    jweights = [1] * s
-    for k in range(1, s):
-        jweights[k] = jweights[k - 1] * sched[k - 1]
-
-    twiddles = build_twiddle_table(params, omega, n)
-    # omega^-k table: reverse and rotate so index k holds omega^(n-k).
-    inv_twiddles = np.roll(twiddles[::-1], 1).copy()
-
-    # Stage exponent tables E_k[q, jo, i] = (jo*jw_k + J'(q)) * i * iw_k mod n,
-    # where J'(q) is the output index accumulated by stages 1..k-1 for block q.
-    exponents: list[np.ndarray] = []
-    jprime = np.zeros(1, dtype=np.int64)
-    for k in range(s):
-        r, iw, jw = sched[k], iweights[k], jweights[k]
-        jo = np.arange(r, dtype=np.int64)
-        left = (jo[None, :, None] * jw + jprime[:, None, None]) % n
-        right = (jo[None, None, :] * iw) % n
-        exponents.append(left * right % n)
-        jprime = (jprime[:, None] + jo[None, :] * jw).reshape(-1)
-
     return TransformPlan(
         params=params,
         n=n,
         omega=omega,
         radices=sched,
-        twiddles=twiddles,
+        twiddles=build_twiddle_table(params, omega, n),
         inv_n=fp_inv(n % params.p, params),
-        jweights=tuple(jweights),
-        iweights=tuple(iweights),
-        permutation=DigitPermutation.from_radices(sched),
-        inv_twiddles=inv_twiddles,
-        stage_exponents=tuple(exponents),
     )
 
 
-def _coerce_vector(v, n: int) -> np.ndarray:
+def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     arr = np.asarray(v, dtype=None)
     if arr.ndim != 1 or len(arr) != n:
         raise LengthMismatch(f"expected a length-{n} vector, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("vector entries must be integer residues")
+    # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
+    if arr.min() < 0 or arr.max() >= p:
+        raise NotReduced(f"vector entries must be residues in [0, {p})")
     return arr.astype(np.int64, copy=True)
+
+
+def _stage_weights(table: np.ndarray, r: int, L: int, m: int) -> np.ndarray:
+    """W[l1, l0, j] = omega^(m * j * (l0 + L*l1)) for one stage, shape (r, L, r).
+
+    The exponent mod n is m*j*l0 + (n/r) * (l1*j mod r) < 2n, so each
+    (l1, j) column is one strided slice of the table, or two where it wraps.
+    """
+    n = len(table)
+    w = np.empty((r, L, r), dtype=np.int64)
+    w[:, :, 0] = table[0]
+    for j in range(1, r):
+        step = m * j
+        for l1 in range(r):
+            start = n // r * (l1 * j % r)
+            head = table[start : start + step * L : step]
+            k = len(head)
+            w[l1, :k, j] = head
+            if k < L:
+                start += step * k - n
+                w[l1, k:, j] = table[start : start + step * (L - k) : step]
+    return w
 
 
 def _run_stages(
     plan: TransformPlan,
     x: np.ndarray,
-    table: np.ndarray,
     variant: str,
     counter: OpCounts | None,
 ) -> np.ndarray:
-    p, n = plan.p, plan.n
-    for k, r in enumerate(plan.radices):
-        jw, iw = plan.jweights[k], plan.iweights[k]
-        block = x.reshape(jw, r, iw)
-        exps = plan.stage_exponents[k]
+    p, n, table = plan.p, plan.n, plan.twiddles
+    L = 1
+    for r in plan.radices:
+        m = n // (L * r)
+        block = x.reshape(L, r, m)
         if variant == TWIDDLE and r == 2:
             # Input twiddles on both butterfly legs (the first is omega^0),
             # then the multiplication-free 2-point transform: the second
             # output row is the negated product, realized by subtraction.
-            t0 = block[:, 0, :] * table[exps[:, 0, 0]][:, None] % p
-            t1 = block[:, 1, :] * table[exps[:, 0, 1]][:, None] % p
-            x = np.stack(((t0 + t1) % p, (t0 - t1) % p), axis=1).reshape(n)
+            t0 = block[:, 0, :] * table[0] % p
+            t1 = block[:, 1, :] * table[0 : m * L : m][:, None] % p
+            y = np.empty((2, L, m), dtype=np.int64)
+            np.add(t0, t1, out=y[0])
+            np.subtract(t0, t1, out=y[1])
             if counter is not None:
                 counter.multiplications += n
                 counter.additions += n
         else:
-            weights = table[exps]  # (jw, r_out, r_in)
-            prods = block[:, None, :, :] * weights[:, :, :, None] % p
-            x = (prods.sum(axis=2) % p).reshape(n)
+            w = _stage_weights(table, r, L, m)[:, :, :, None]
+            y = block[None, :, 0, :] * w[:, :, 0] % p
+            for j in range(1, r):
+                y += block[None, :, j, :] * w[:, :, j] % p
             if counter is not None:
                 counter.multiplications += n * r
                 counter.additions += n * (r - 1)
+        y %= p
+        x = y.reshape(n)
+        L *= r
     return x
 
 
 def _transform(
     plan: TransformPlan,
     v,
-    table: np.ndarray,
     variant: str,
     counter: OpCounts | None,
     raw_order: bool,
-    scale: int | None = None,
+    inverse: bool = False,
 ) -> np.ndarray:
-    x = _run_stages(plan, _coerce_vector(v, plan.n), table, variant, counter)
-    if scale is not None:
-        x = x * scale % plan.p
+    x = _run_stages(plan, _coerce_vector(v, plan.n, plan.p), variant, counter)
+    if inverse:
+        # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
+        x = np.concatenate((x[:1], x[:0:-1])) * plan.inv_n % plan.p
     if raw_order:
-        return x
-    return plan.permutation.apply(x)
+        return x[plan.permutation.forward]
+    return x
 
 
 def fft_recursive(
@@ -335,7 +334,7 @@ def fft_recursive(
     raw_order: bool = False,
 ) -> np.ndarray:
     """Staged transform multiplying by every scheduled twiddle, omega^0 included."""
-    return _transform(plan, v, plan.twiddles, RECURSIVE, counter, raw_order)
+    return _transform(plan, v, RECURSIVE, counter, raw_order)
 
 
 def fft_twiddle(
@@ -346,7 +345,7 @@ def fft_twiddle(
     raw_order: bool = False,
 ) -> np.ndarray:
     """Staged transform with multiplication-free radix-2 butterflies."""
-    return _transform(plan, v, plan.twiddles, TWIDDLE, counter, raw_order)
+    return _transform(plan, v, TWIDDLE, counter, raw_order)
 
 
 def ifft(
@@ -356,33 +355,29 @@ def ifft(
     *,
     raw_order: bool = False,
 ) -> np.ndarray:
-    """Inverse transform: forward kernel with omega^-1, scaled by n^-1 mod p."""
+    """Inverse transform: forward kernel read at index -j mod n, scaled by n^-1 mod p."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    return _transform(
-        plan, V, plan.inv_twiddles, variant, None, raw_order, scale=plan.inv_n
-    )
+    return _transform(plan, V, variant, None, raw_order, inverse=True)
 
 
 def _naive(plan: TransformPlan, v, inverse: bool) -> np.ndarray:
     """Direct evaluation of sum_i omega^(+-ij) v_i for every j."""
     p, n = plan.p, plan.n
-    x = _coerce_vector(v, n)
+    x = _coerce_vector(v, n, p)
     # Reduced products summed over n terms stay below n*p < 2**62, so the
     # elementwise reduction may be skipped whenever raw products already fit.
     safe_products = n * (p - 1) * (p - 1) < 2**63
     if safe_products and n <= _NAIVE_MATRIX_LIMIT:
         return plan._naive_matrix(inverse) @ x % p
-    table = plan.inv_twiddles if inverse else plan.twiddles
     out = np.empty(n, dtype=np.int64)
-    i = np.arange(n, dtype=np.int64)
     rows = max(1, _NAIVE_BLOCK_ELEMS // n)
     for j0 in range(0, n, rows):
-        j = np.arange(j0, min(j0 + rows, n), dtype=np.int64)
-        terms = table[(j[:, None] * i[None, :]) % n] * x[None, :]
+        j1 = min(j0 + rows, n)
+        terms = plan._naive_rows(j0, j1, inverse) * x[None, :]
         if not safe_products:
             terms %= p
-        out[j0 : j0 + len(j)] = terms.sum(axis=1) % p
+        out[j0:j1] = terms.sum(axis=1) % p
     return out
 
 
@@ -409,14 +404,7 @@ def predicted_counts(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    sched = tuple(int(r) for r in radices)
-    prod = 1
-    for r in sched:
-        if r < 2:
-            raise BadRadices(f"radix {r} < 2")
-        prod *= r
-    if prod != n:
-        raise BadRadices(f"radices multiply to {prod}, not {n}")
+    sched = _checked_schedule(radices, n)
     total = sum(sched)
     mults = n * total
     if variant == TWIDDLE:

@@ -6,12 +6,13 @@ ints; it shares no code with the numpy kernels or the plan's tables.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothntt.errors import (
     BadRadices,
     LengthMismatch,
     NotADivisor,
+    NotReduced,
     OutOfRange,
     WrongOrder,
 )
@@ -200,6 +201,49 @@ def test_schedule_invariance(radices):
         assert fft_twiddle(plan, v).tolist() == expected
 
 
+# Lengths up to the oracle's cached-matrix limit, where many stage-weight
+# slices wrap past n.
+SCHEDULE_FIELDS = ((769, 768), (3457, 3456), (12289, 4096))
+COMPOSITE_RADICES = (4, 6, 8, 9, 16)
+
+
+@st.composite
+def field_schedules(draw):
+    """A field, and its prime factors in random order, some merged into composites."""
+    p, n = draw(st.sampled_from(SCHEDULE_FIELDS))
+    primes = [q for q, e in factorize(n).factors for _ in range(e)]
+    sched: list[int] = []
+    for q in draw(st.permutations(primes)):
+        if sched and sched[-1] * q in COMPOSITE_RADICES and draw(st.booleans()):
+            sched[-1] *= q
+        else:
+            sched.append(q)
+    return p, n, sched
+
+
+@pytest.fixture(scope="module")
+def oracle_plans():
+    return {(p, n): plan_transform(FieldParams(p), n) for p, n in SCHEDULE_FIELDS}
+
+
+@given(field_schedules())
+@example((3457, 3456, [4, 9, 6, 16]))
+@settings(max_examples=40, deadline=None)
+def test_random_schedules_match_oracle(oracle_plans, case):
+    p, n, radices = case
+    oracle = oracle_plans[(p, n)]
+    plan = plan_transform(FieldParams(p), n, omega=oracle.omega, radices=radices)
+    v = np.random.default_rng(len(radices)).integers(0, p, n)
+    expected = dft_naive(oracle, v)
+    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+        counts = OpCounts()
+        assert np.array_equal(kernel(plan, v, counts), expected)
+        assert counts == predicted_counts(n, radices, variant)
+        assert np.array_equal(ifft(plan, expected, variant), v)
+        raw = kernel(plan, v, raw_order=True)
+        assert np.array_equal(raw, expected[DigitPermutation.from_radices(plan.radices).forward])
+
+
 def test_fft_subgroup_length_matches_naive():
     # order-36864 root inside F_147457: heavyweight but definitive
     plan = plan_transform(FieldParams(147457), 36864)
@@ -228,6 +272,43 @@ def test_length_mismatch(plan54):
 def test_non_integer_vector_rejected(plan54):
     with pytest.raises(ValueError):
         fft_twiddle(plan54, np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        fft_twiddle,
+        fft_recursive,
+        ifft,
+        dft_naive,
+        idft_naive,
+        lambda plan, v: cyclic_convolve_via_fft(plan, v, np.zeros(8, dtype=np.int64)),
+        lambda plan, v: cyclic_convolve_via_fft(plan, np.zeros(8, dtype=np.int64), v),
+    ],
+)
+def test_unreduced_entries_rejected(call):
+    # Unreduced int64 entries near 2**45 overflow the oracle's products, and
+    # uint64 entries >= 2**63 would wrap to negatives on the cast to int64.
+    plan = plan_transform(FieldParams(786433), 8)
+    zeros = [0] * 7
+    for v in (
+        np.arange(8, dtype=np.int64) + 2**45,
+        np.array([2**64 - 1] + zeros, dtype=np.uint64),
+        [-1] + zeros,
+        [786433] + zeros,
+    ):
+        with pytest.raises(NotReduced):
+            call(plan, v)
+
+
+def test_plan_holds_only_the_twiddle_table():
+    plan = plan_transform(FieldParams(769), 768)
+    v = np.random.default_rng(15).integers(0, 769, 768)
+    fft_twiddle(plan, v)
+    ifft(plan, v)
+    fft_recursive(plan, v, raw_order=True)
+    arrays = [a for k, a in vars(plan).items() if k != "_naive_cache" and isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 8 * plan.n
 
 
 # --- inverse ----------------------------------------------------------------
