@@ -76,8 +76,11 @@ def run_benchmark(
 
     One counted run pins measured == predicted (hard failure otherwise);
     `trials` timed runs per kernel give the median wall clock.  The direct
-    transform is timed only when n <= measure_naive_up_to.
+    transform is timed only when n <= measure_naive_up_to.  Raises
+    ValueError unless trials >= 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     plan = plan_transform(params, n, radices=radices)
     kernel = fft_recursive if variant == RECURSIVE else fft_twiddle
     predicted = predicted_counts(plan.n, plan.radices, variant)

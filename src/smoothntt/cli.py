@@ -12,22 +12,13 @@ import argparse
 import sys
 
 from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchmark
-from .errors import (
-    BadRadices,
-    InvalidField,
-    LengthMismatch,
-    NotADivisor,
-    VectorFileError,
-    WrongOrder,
-)
+from .errors import BadRadices, VectorFileError
 from .field import FieldParams, is_prime
 from .numtheory import factorize, find_generator, prime_search
 from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle, ifft, plan_transform
 
 _MAGIC = "ntt-vec"
 _VERSION = "1"
-
-_PLAN_ERRORS = (NotADivisor, WrongOrder, BadRadices, InvalidField, LengthMismatch, ValueError)
 
 
 def read_vector_file(path: str) -> tuple[int, list[int]]:
@@ -101,7 +92,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             out = fft_recursive(plan, values, raw_order=args.raw_order)
         else:
             out = fft_twiddle(plan, values, raw_order=args.raw_order)
-    except _PLAN_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     write_vector_file(args.output, p, out)
@@ -113,7 +104,7 @@ def cmd_generator(args: argparse.Namespace) -> int:
         params = FieldParams(args.p)
         n = params.p - 1 if args.n is None else args.n
         a = find_generator(params, n)
-    except _PLAN_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"{a} {factorize(n)}")
@@ -124,7 +115,7 @@ def cmd_primes(args: argparse.Namespace) -> int:
     try:
         factors = {int(tok) for tok in args.factors.split(",")}
         records = prime_search(args.min, args.max, factors)
-    except (InvalidField, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for rec in records:
@@ -145,7 +136,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             measure_naive_up_to=args.naive_cutoff,
             trials=args.trials,
         )
-    except _PLAN_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(emit_report(report, args.format), end="")

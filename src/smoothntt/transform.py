@@ -28,10 +28,17 @@ itself costs nothing.
 All kernels run on int64 numpy arrays.  Inputs must be residues in [0, p)
 and p < 2**31, so single products never overflow and butterfly sums are
 reduced before they can grow past 63 bits; results are bit-exact field values.
+
+The oracle `dft_naive` keeps no state and shares only the input check and
+the omega^k table with the kernels.  It evaluates the definition one block
+of rows of the matrix omega^(j*i) at a time: the first block is gathered
+from the table once, and every later block is the one before it times
+omega^(rows*i), since omega^((j + rows)*i) = omega^(j*i) * omega^(rows*i)
+exactly in F_p.  `idft_naive` reads the same definition at index -j mod n.
 """
 
 import math
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +50,15 @@ from .errors import (
     OutOfRange,
     WrongOrder,
 )
-from .field import FieldElement, FieldParams, fp_inv, fp_pow
-from .numtheory import factorize, find_generator
+from .field import FieldElement, FieldParams, fp_inv
+from .numtheory import element_order, factorize, find_generator
 
 RECURSIVE = "recursive"
 TWIDDLE = "twiddle"
 VARIANTS = (RECURSIVE, TWIDDLE)
 
-# Largest n for which dft_naive caches the full n x n twiddle matrix
-# (int64: 128 MiB at 4096); larger transforms evaluate row blocks.
-_NAIVE_MATRIX_LIMIT = 4096
-_NAIVE_BLOCK_ELEMS = 1 << 22
+# Matrix entries dft_naive holds per block of rows (int64: 512 KiB).
+_NAIVE_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -113,10 +118,8 @@ class TransformPlan:
 
     The plan holds the radix schedule and one table, omega^k for k in
     [0, n); the kernels, the inverse and the oracle read every power of
-    omega they need from it.  The kernels only read the plan, but it is not
-    immutable: `dft_naive` and `idft_naive` fill `_naive_cache` on first use
-    with one n x n matrix per direction (128 MiB each at n = 4096).  Threads
-    sharing a plan may each build that matrix on their first oracle call.
+    omega they need from it.  No function writes to a plan after it is
+    built, so a plan is immutable and safe to share across threads.
     """
 
     params: FieldParams
@@ -125,7 +128,6 @@ class TransformPlan:
     radices: tuple[int, ...]
     twiddles: np.ndarray
     inv_n: FieldElement
-    _naive_cache: dict = _field(default_factory=dict, repr=False)
 
     @property
     def p(self) -> int:
@@ -135,28 +137,6 @@ class TransformPlan:
     def permutation(self) -> DigitPermutation:
         """Slot-to-coefficient map of the raw-order output, built on each read."""
         return DigitPermutation.from_radices(self.radices)
-
-    def _naive_rows(self, j0: int, j1: int, inverse: bool) -> np.ndarray:
-        """Rows j0 .. j1-1 of M[j, i] = omega^(+-ij), gathered from the table."""
-        n = self.n
-        j = np.arange(j0, j1, dtype=np.int64)
-        if inverse:
-            j = -j % n  # omega^(-ij) = omega^((n - j) * i)
-        return self.twiddles[j[:, None] * np.arange(n, dtype=np.int64) % n]
-
-    def _naive_matrix(self, inverse: bool) -> np.ndarray:
-        """Cached n x n matrix M[j, i] = omega^(+-ij), built on first use."""
-        key = "inv" if inverse else "fwd"
-        cached = self._naive_cache.get(key)
-        if cached is None:
-            n = self.n
-            cached = np.empty((n, n), dtype=np.int64)
-            rows = max(1, _NAIVE_BLOCK_ELEMS // n)
-            for j0 in range(0, n, rows):
-                j1 = min(j0 + rows, n)
-                cached[j0:j1] = self._naive_rows(j0, j1, inverse)
-            self._naive_cache[key] = cached
-        return cached
 
 
 def build_twiddle_table(
@@ -202,11 +182,9 @@ def _checked_schedule(radices: list[int] | tuple[int, ...], n: int) -> tuple[int
 def _check_order(params: FieldParams, omega: int, n: int) -> None:
     if not 1 <= omega < params.p:
         raise WrongOrder(f"omega {omega} is not a reduced nonzero residue")
-    if fp_pow(omega, n, params) != 1:
-        raise WrongOrder(f"omega^{n} != 1, order does not divide {n}")
-    for r in factorize(n).primes:
-        if fp_pow(omega, n // r, params) == 1:
-            raise WrongOrder(f"omega^({n}//{r}) == 1, order below {n}")
+    order = element_order(params, omega, factorize(params.p - 1))
+    if order != n:
+        raise WrongOrder(f"omega {omega} has order {order}, not {n}")
 
 
 def plan_transform(
@@ -361,34 +339,30 @@ def ifft(
     return _transform(plan, V, variant, None, raw_order, inverse=True)
 
 
-def _naive(plan: TransformPlan, v, inverse: bool) -> np.ndarray:
-    """Direct evaluation of sum_i omega^(+-ij) v_i for every j."""
-    p, n = plan.p, plan.n
+def dft_naive(plan: TransformPlan, v) -> np.ndarray:
+    """The O(n^2) transform straight from the definition; oracle for the FFTs."""
+    p, n, table = plan.p, plan.n, plan.twiddles
     x = _coerce_vector(v, n, p)
     # Reduced products summed over n terms stay below n*p < 2**62, so the
     # elementwise reduction may be skipped whenever raw products already fit.
     safe_products = n * (p - 1) * (p - 1) < 2**63
-    if safe_products and n <= _NAIVE_MATRIX_LIMIT:
-        return plan._naive_matrix(inverse) @ x % p
+    rows = max(1, min(n, _NAIVE_BLOCK_ELEMS // n))
+    i = np.arange(n, dtype=np.int64)
+    block = table[np.arange(rows, dtype=np.int64)[:, None] * i % n]
+    step = table[rows * i % n]
     out = np.empty(n, dtype=np.int64)
-    rows = max(1, _NAIVE_BLOCK_ELEMS // n)
     for j0 in range(0, n, rows):
-        j1 = min(j0 + rows, n)
-        terms = plan._naive_rows(j0, j1, inverse) * x[None, :]
-        if not safe_products:
-            terms %= p
-        out[j0:j1] = terms.sum(axis=1) % p
+        w = block[: n - j0]
+        out[j0 : j0 + rows] = (w @ x if safe_products else (w * x % p).sum(axis=1)) % p
+        block *= step  # the next rows: omega^((j + rows)*i)
+        block %= p
     return out
 
 
-def dft_naive(plan: TransformPlan, v) -> np.ndarray:
-    """The O(n^2) transform straight from the definition; oracle for the FFTs."""
-    return _naive(plan, v, inverse=False)
-
-
 def idft_naive(plan: TransformPlan, V) -> np.ndarray:
-    """Direct inverse: n^-1 times the definition sum with omega^-1."""
-    return _naive(plan, V, inverse=True) * plan.inv_n % plan.p
+    """Direct inverse: n^-1 times the definition read at index -j mod n."""
+    x = dft_naive(plan, V)
+    return np.concatenate((x[:1], x[:0:-1])) * plan.inv_n % plan.p
 
 
 def predicted_counts(

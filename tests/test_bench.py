@@ -93,3 +93,11 @@ def test_radices_column_format(tiny_report):
     # the radix schedule cell must not smuggle in extra CSV separators
     assert re.fullmatch(r"[0-9*]+", cells[2])
     assert cells[2] == "2*2"
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_nonpositive_trials_rejected_before_planning(trials):
+    # n = 3 does not divide 4, so building the plan first would raise
+    # NotADivisor instead.
+    with pytest.raises(ValueError, match="trials"):
+        run_benchmark(FieldParams(5), 3, trials=trials)

@@ -181,3 +181,10 @@ def test_bench_subgroup_runs(capsys):
 def test_bench_plan_error(capsys):
     assert main(["bench", "10"]) == 3
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_nonpositive_trials(capsys, trials):
+    assert main(["bench", "97", "--trials", trials]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trials" in err

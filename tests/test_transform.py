@@ -4,6 +4,8 @@
 ints; it shares no code with the numpy kernels or the plan's tables.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +23,7 @@ from smoothntt.numtheory import element_order, factorize
 from smoothntt.transform import (
     DigitPermutation,
     OpCounts,
+    TransformPlan,
     build_twiddle_table,
     cyclic_convolve_via_fft,
     dft_naive,
@@ -162,6 +165,66 @@ def test_idft_naive_round_trip(plan9796):
     for _ in range(100):
         v = rng.integers(0, 97, 96)
         assert np.array_equal(idft_naive(plan9796, dft_naive(plan9796, v)), v)
+
+
+# p - 1 = 2^27 * 15, and 31 generates F_p*.  Plans take omega = 31^((p-1)/n)
+# explicitly: the default smallest-generator scan needs tens of seconds here.
+P_LARGE = 2013265921
+
+
+def plan_large(n):
+    params = FieldParams(P_LARGE)
+    assert element_order(params, 31, factorize(P_LARGE - 1)) == P_LARGE - 1
+    return plan_transform(params, n, omega=pow(31, (P_LARGE - 1) // n, P_LARGE))
+
+
+def test_dft_naive_unreduced_products_path():
+    # Single products reach 2^62, so n of them overflow int64 and every
+    # product is reduced before the row sums.
+    p = P_LARGE
+    assert 96 * (p - 1) ** 2 >= 2**63
+    rng = np.random.default_rng(21)
+    small = plan_large(96)
+    v = rng.integers(0, p, 96)
+    assert dft_naive(small, v).tolist() == dft_reference(p, small.omega, v)
+    assert np.array_equal(idft_naive(small, dft_naive(small, v)), v)
+    # 3840 = 225 blocks of 17 rows plus a partial block of 15.
+    plan = plan_large(3840)
+    v = rng.integers(0, p, 3840)
+    got = dft_naive(plan, v)
+    assert np.array_equal(got, fft_twiddle(plan, v))
+    for j in (1, 3839):
+        expected = sum(pow(plan.omega, i * j, p) * int(v[i]) for i in range(3840)) % p
+        assert got[j] == expected
+    assert np.array_equal(idft_naive(plan, got), v)
+
+
+def test_dft_naive_partial_last_block_safe_products():
+    # 2592 = 103 blocks of 25 rows plus a partial block of 17.
+    plan = plan_transform(FieldParams(629857), 2592)
+    v = np.random.default_rng(22).integers(0, 629857, 2592)
+    assert np.array_equal(dft_naive(plan, v), fft_twiddle(plan, v))
+
+
+def test_plan_fields_are_the_schedule_and_table():
+    names = [f.name for f in dataclasses.fields(TransformPlan)]
+    assert names == ["params", "n", "omega", "radices", "twiddles", "inv_n"]
+
+
+@pytest.mark.parametrize("p, n", [(97, 96), (629857, 2592), (P_LARGE, 3840)])
+def test_oracle_leaves_plan_unchanged(p, n):
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+
+    def snapshot():
+        return {
+            k: a.tobytes() if isinstance(a, np.ndarray) else a
+            for k, a in vars(plan).items()
+        }
+
+    before = snapshot()
+    v = np.random.default_rng(23).integers(0, p, n)
+    idft_naive(plan, dft_naive(plan, v))
+    assert snapshot() == before
 
 
 # --- staged kernels ---------------------------------------------------------
