@@ -77,68 +77,47 @@ def _parse_radices(text: str) -> list[int]:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    try:
-        p, values = read_vector_file(args.input)
-    except VectorFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        params = FieldParams(p)
-        radices = _parse_radices(args.radices) if args.radices else None
-        plan = plan_transform(params, len(values), omega=args.omega, radices=radices)
-        if args.inverse:
-            out = ifft(plan, values, args.variant, raw_order=args.raw_order)
-        elif args.variant == RECURSIVE:
-            out = fft_recursive(plan, values, raw_order=args.raw_order)
-        else:
-            out = fft_twiddle(plan, values, raw_order=args.raw_order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    p, values = read_vector_file(args.input)
+    params = FieldParams(p)
+    radices = _parse_radices(args.radices) if args.radices else None
+    plan = plan_transform(params, len(values), omega=args.omega, radices=radices)
+    if args.inverse:
+        out = ifft(plan, values, args.variant, raw_order=args.raw_order)
+    elif args.variant == RECURSIVE:
+        out = fft_recursive(plan, values, raw_order=args.raw_order)
+    else:
+        out = fft_twiddle(plan, values, raw_order=args.raw_order)
     write_vector_file(args.output, p, out)
     return 0
 
 
 def cmd_generator(args: argparse.Namespace) -> int:
-    try:
-        params = FieldParams(args.p)
-        n = params.p - 1 if args.n is None else args.n
-        a = find_generator(params, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    params = FieldParams(args.p)
+    n = params.p - 1 if args.n is None else args.n
+    a = find_generator(params, n)
     print(f"{a} {factorize(n)}")
     return 0
 
 
 def cmd_primes(args: argparse.Namespace) -> int:
-    try:
-        factors = {int(tok) for tok in args.factors.split(",")}
-        records = prime_search(args.min, args.max, factors)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    for rec in records:
+    factors = {int(tok) for tok in args.factors.split(",")}
+    for rec in prime_search(args.min, args.max, factors):
         print(f"{rec.p} {rec.factorization} {rec.generator}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        params = FieldParams(args.p)
-        n = params.p - 1 if args.n is None else args.n
-        radices = _parse_radices(args.radices) if args.radices else None
-        report = run_benchmark(
-            params,
-            n,
-            radices=radices,
-            variant=args.variant,
-            measure_naive_up_to=args.naive_cutoff,
-            trials=args.trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    params = FieldParams(args.p)
+    n = params.p - 1 if args.n is None else args.n
+    radices = _parse_radices(args.radices) if args.radices else None
+    report = run_benchmark(
+        params,
+        n,
+        radices=radices,
+        variant=args.variant,
+        measure_naive_up_to=args.naive_cutoff,
+        trials=args.trials,
+    )
     print(emit_report(report, args.format), end="")
     return 0
 
@@ -187,7 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VectorFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -85,8 +85,8 @@ def fp_pow(a: FieldElement, e: int, params: FieldParams) -> FieldElement:
 def fp_inv(a: FieldElement, params: FieldParams) -> FieldElement:
     """Return the multiplicative inverse a**(p-2) mod p.
 
-    Raises ZeroInverse for a == 0.
+    Raises ZeroInverse for any a that is 0 mod p.
     """
-    if a == 0:
+    if a % params.p == 0:
         raise ZeroInverse("0 has no multiplicative inverse")
     return fp_pow(a, params.p - 2, params)

@@ -7,11 +7,23 @@ transform decomposes into s stages of r_k-point butterflies.
 The staged kernels use the self-sorting (Stockham) layout of Temperton's
 mixed-radix FFTs.  Before stage k, with L = r_1*...*r_{k-1} and
 m = n / (L * r_k), the buffer is viewed as an (L, r_k, m) array X, and the
-stage writes a fresh (r_k, L, m) buffer whose row l0 + L*l1 is
-sum_j omega^(m*j*(l0 + L*l1)) * X[l0, j, :].  After the last stage (L = n,
-m = 1) the output is in natural order; every weight is a strided read of
-the one omega^k table.  `raw_order=True` gathers the natural output into
-digit-reversed order (`digit_reverse` maps slots to coefficient indices).
+stage writes an (r_k, L, m) view Y of a second buffer whose row l0 + L*l1 is
+sum_j e1[l1, l0]^j * X[l0, j, :].  Here e1 is the omega^k table read with
+stride m and viewed as (r_k, L), so e1[l1, l0] = omega^(m*(l0 + L*l1)) with
+no copy.  The two buffers then swap roles.  After the last stage (L = n,
+m = 1) the output is in natural order.  `raw_order=True` gathers the
+natural output into digit-reversed order (`digit_reverse` maps slots to
+coefficient indices).
+
+Each kernel call owns three n-element int64 buffers: the private copy of
+its input, the stage output, and a product buffer each butterfly leg is
+multiplied into.  Stages write only through `out=` ufuncs and in-place
+reductions.  Leg 0 reads omega^0, leg 1 reads e1 itself, and legs j >= 2
+read e1^j, computed per stage as e1^(j-1) * e1 % p.  Those powers have
+n / m entries, so a transform whose last radix is 3 peaks at five n-element
+buffers.  Like the table, the powers e1^j are twiddle generation and
+`OpCounts` does not count them: n extra multiplications per transform at
+F_786433 (one radix-3 stage) and 1.5n at F_472393 (ten).
 
 Two kernel variants are provided.  `fft_recursive` multiplies every butterfly
 term by a full twiddle-table entry, exponent zero included: exactly
@@ -38,6 +50,7 @@ exactly in F_p.  `idft_naive` reads the same definition at index -j mod n.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +131,9 @@ class TransformPlan:
 
     The plan holds the radix schedule and one table, omega^k for k in
     [0, n); the kernels, the inverse and the oracle read every power of
-    omega they need from it.  No function writes to a plan after it is
-    built, so a plan is immutable and safe to share across threads.
+    omega they need from it.  `plan_transform` marks the table read-only,
+    so no kernel can write through its views of it: a plan is immutable
+    and safe to share across threads.
     """
 
     params: FieldParams
@@ -154,7 +168,9 @@ def build_twiddle_table(
     step = omega % p
     while filled < n:
         chunk = min(filled, n - filled)
-        table[filled : filled + chunk] = table[:chunk] * step % p
+        dst = table[filled : filled + chunk]
+        np.multiply(table[:chunk], step, out=dst)
+        dst %= p
         filled *= 2
         step = step * step % p
     return table
@@ -199,19 +215,23 @@ def plan_transform(
     nondecreasing prime factors of n.  Raises NotADivisor, WrongOrder or
     BadRadices when an argument breaks its contract.
     """
+    n = operator.index(n)
     if n < 1 or (params.p - 1) % n != 0:
         raise NotADivisor(f"{n} does not divide p - 1 = {params.p - 1}")
     sched = _default_radices(n) if radices is None else _checked_schedule(radices, n)
     if omega is None:
         omega = find_generator(params, n)
     else:
+        omega = operator.index(omega)
         _check_order(params, omega, n)
+    twiddles = build_twiddle_table(params, omega, n)
+    twiddles.flags.writeable = False
     return TransformPlan(
         params=params,
         n=n,
         omega=omega,
         radices=sched,
-        twiddles=build_twiddle_table(params, omega, n),
+        twiddles=twiddles,
         inv_n=fp_inv(n % params.p, params),
     )
 
@@ -225,29 +245,8 @@ def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
     if arr.min() < 0 or arr.max() >= p:
         raise NotReduced(f"vector entries must be residues in [0, {p})")
+    # Always a private copy: the staged kernels use it as a working buffer.
     return arr.astype(np.int64, copy=True)
-
-
-def _stage_weights(table: np.ndarray, r: int, L: int, m: int) -> np.ndarray:
-    """W[l1, l0, j] = omega^(m * j * (l0 + L*l1)) for one stage, shape (r, L, r).
-
-    The exponent mod n is m*j*l0 + (n/r) * (l1*j mod r) < 2n, so each
-    (l1, j) column is one strided slice of the table, or two where it wraps.
-    """
-    n = len(table)
-    w = np.empty((r, L, r), dtype=np.int64)
-    w[:, :, 0] = table[0]
-    for j in range(1, r):
-        step = m * j
-        for l1 in range(r):
-            start = n // r * (l1 * j % r)
-            head = table[start : start + step * L : step]
-            k = len(head)
-            w[l1, :k, j] = head
-            if k < L:
-                start += step * k - n
-                w[l1, k:, j] = table[start : start + step * (L - k) : step]
-    return w
 
 
 def _run_stages(
@@ -257,32 +256,42 @@ def _run_stages(
     counter: OpCounts | None,
 ) -> np.ndarray:
     p, n, table = plan.p, plan.n, plan.twiddles
+    y = np.empty(n, dtype=np.int64)
+    t = np.empty(n, dtype=np.int64)
     L = 1
     for r in plan.radices:
         m = n // (L * r)
-        block = x.reshape(L, r, m)
+        X = x.reshape(L, r, m)
+        Y = y.reshape(r, L, m)
+        T = t.reshape(r, L, m)
+        # e1[l1, l0] = omega^(m * (l0 + L*l1)); leg j is weighted by e1^j.
+        e1 = table[::m].reshape(r, L, 1)
         if variant == TWIDDLE and r == 2:
             # Input twiddles on both butterfly legs (the first is omega^0),
             # then the multiplication-free 2-point transform: the second
             # output row is the negated product, realized by subtraction.
-            t0 = block[:, 0, :] * table[0] % p
-            t1 = block[:, 1, :] * table[0 : m * L : m][:, None] % p
-            y = np.empty((2, L, m), dtype=np.int64)
-            np.add(t0, t1, out=y[0])
-            np.subtract(t0, t1, out=y[1])
+            np.multiply(X[:, 0, :], table[0], out=T[0])
+            np.multiply(X[:, 1, :], e1[0], out=T[1])
+            T %= p
+            np.add(T[0], T[1], out=Y[0])
+            np.subtract(T[0], T[1], out=Y[1])
             if counter is not None:
                 counter.multiplications += n
                 counter.additions += n
         else:
-            w = _stage_weights(table, r, L, m)[:, :, :, None]
-            y = block[None, :, 0, :] * w[:, :, 0] % p
+            # Leg 0 is multiplied by omega^0 too, as the counts assume.
+            np.multiply(X[:, 0, :], table[0], out=Y)
+            Y %= p
             for j in range(1, r):
-                y += block[None, :, j, :] * w[:, :, j] % p
+                w = e1 if j == 1 else w * e1 % p
+                np.multiply(X[:, j, :], w, out=T)
+                T %= p
+                np.add(Y, T, out=Y)
             if counter is not None:
                 counter.multiplications += n * r
                 counter.additions += n * (r - 1)
-        y %= p
-        x = y.reshape(n)
+        Y %= p
+        x, y = y, x
         L *= r
     return x
 

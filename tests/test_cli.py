@@ -154,6 +154,13 @@ def test_primes_empty(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_primes_bad_range_exits_3(capsys):
+    assert main(["primes", "--min", "10", "--max", "5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
 def test_bench_csv_golden(capsys):
     code = main(
         ["bench", "5", "--n", "4", "--variant", "recursive", "--format", "csv", "--trials", "3"]

@@ -86,8 +86,9 @@ def test_inv_examples():
 
 
 def test_inv_zero():
-    with pytest.raises(ZeroInverse):
-        fp_inv(0, FieldParams(17))
+    for p, a in ((17, 0), (17, 34), (97, 97)):
+        with pytest.raises(ZeroInverse):
+            fp_inv(a, FieldParams(p))
 
 
 @given(field_pairs())

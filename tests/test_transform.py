@@ -5,6 +5,7 @@ ints; it shares no code with the numpy kernels or the plan's tables.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ def test_plan_defaults_large_field():
     assert element_order(params, plan.omega, factorize(147456)) == 147456
 
 
+def test_plan_accepts_numpy_integers(plan9796):
+    params = FieldParams(97)
+    sub = plan_transform(params, 32, omega=plan9796.twiddles[3])
+    assert type(sub.omega) is int and sub.omega == int(plan9796.twiddles[3])
+    full = plan_transform(params, np.int64(96))
+    assert type(full.n) is int and type(full.omega) is int
+    assert np.array_equal(full.twiddles, plan9796.twiddles)
+
+
 def test_plan_not_a_divisor():
     with pytest.raises(NotADivisor):
         plan_transform(FieldParams(5), 3)
@@ -148,7 +158,7 @@ def test_dft_naive_matches_reference(plan9796):
 
 
 def test_dft_naive_blocked_path_matches_reference():
-    # length above the cached-matrix limit exercises the row-blocked path
+    # 8192 rows in 1024 blocks of 8, each one the block before times a step
     plan = plan_transform(FieldParams(147457), 8192)
     rng = np.random.default_rng(2)
     v = rng.integers(0, 147457, 8192)
@@ -211,20 +221,17 @@ def test_plan_fields_are_the_schedule_and_table():
     assert names == ["params", "n", "omega", "radices", "twiddles", "inv_n"]
 
 
+def plan_snapshot(plan):
+    return {k: a.tobytes() if isinstance(a, np.ndarray) else a for k, a in vars(plan).items()}
+
+
 @pytest.mark.parametrize("p, n", [(97, 96), (629857, 2592), (P_LARGE, 3840)])
 def test_oracle_leaves_plan_unchanged(p, n):
     plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
-
-    def snapshot():
-        return {
-            k: a.tobytes() if isinstance(a, np.ndarray) else a
-            for k, a in vars(plan).items()
-        }
-
-    before = snapshot()
+    before = plan_snapshot(plan)
     v = np.random.default_rng(23).integers(0, p, n)
     idft_naive(plan, dft_naive(plan, v))
-    assert snapshot() == before
+    assert plan_snapshot(plan) == before
 
 
 # --- staged kernels ---------------------------------------------------------
@@ -264,8 +271,8 @@ def test_schedule_invariance(radices):
         assert fft_twiddle(plan, v).tolist() == expected
 
 
-# Lengths up to the oracle's cached-matrix limit, where many stage-weight
-# slices wrap past n.
+# Lengths whose schedules mix 2, 3 and composite radices up to 16, small
+# enough for the dft_naive oracle to check each drawn schedule quickly.
 SCHEDULE_FIELDS = ((769, 768), (3457, 3456), (12289, 4096))
 COMPOSITE_RADICES = (4, 6, 8, 9, 16)
 
@@ -370,8 +377,48 @@ def test_plan_holds_only_the_twiddle_table():
     fft_twiddle(plan, v)
     ifft(plan, v)
     fft_recursive(plan, v, raw_order=True)
-    arrays = [a for k, a in vars(plan).items() if k != "_naive_cache" and isinstance(a, np.ndarray)]
+    arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == 8 * plan.n
+
+
+@pytest.mark.parametrize(
+    "p, n, radices", [(97, 96, None), (769, 768, None), (3457, 3456, [4, 9, 6, 16])]
+)
+def test_table_is_read_only_and_kernels_leave_plan_unchanged(p, n, radices):
+    # The kernels read every stage weight through views of the shared table.
+    plan = plan_transform(FieldParams(p), n, radices=radices)
+    with pytest.raises(ValueError):
+        plan.twiddles[1] = 0
+    with pytest.raises(ValueError):
+        np.multiply(plan.twiddles, 2, out=plan.twiddles)
+    before = plan_snapshot(plan)
+    v = np.random.default_rng(25).integers(0, p, n)
+    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+        kernel(plan, v, OpCounts())
+        kernel(plan, v, raw_order=True)
+        ifft(plan, v, variant)
+        ifft(plan, v, variant, raw_order=True)
+    assert plan_snapshot(plan) == before
+
+
+def test_kernel_peak_memory_is_five_vectors():
+    # Each call owns three n-element int64 buffers: the coerced copy of the
+    # input, the stage output and the product buffer.  The last radix-3
+    # stage adds e1^2 and the unreduced product it is reduced from, both n long.
+    p = 147457
+    plan = plan_transform(FieldParams(p), p - 1)
+    n = plan.n
+    v = np.random.default_rng(24).integers(0, p, n)
+    original = v.copy()
+    for call in (fft_twiddle, fft_recursive, ifft):
+        tracemalloc.start()
+        try:
+            call(plan, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n + 64 * 1024, (call.__name__, peak / (8 * n))
+        assert np.array_equal(v, original)
 
 
 # --- inverse ----------------------------------------------------------------
