@@ -9,7 +9,7 @@ the direct transform is still bearable.
 
 import argparse
 
-from smoothntt.bench import emit_report, run_benchmark
+from smoothntt.bench import CSV_HEADER, emit_report, run_benchmark
 from smoothntt.field import FieldParams
 
 
@@ -28,9 +28,18 @@ def main() -> None:
         (147457, 147456, "twiddle"),
         (786433, 786432, "twiddle"),
     ]
+
+    def show(report) -> None:
+        if args.format == "csv":
+            # One header for the whole table; emit_report's second line is the row.
+            print(emit_report(report, "csv").splitlines()[1])
+        else:
+            print(emit_report(report))
+
+    if args.format == "csv":
+        print(CSV_HEADER)
     for p, n, variant in configs:
-        report = run_benchmark(FieldParams(p), n, variant=variant, trials=5)
-        print(emit_report(report, args.format))
+        show(run_benchmark(FieldParams(p), n, variant=variant, trials=5))
 
     if not args.skip_wall_clock:
         report = run_benchmark(
@@ -40,7 +49,7 @@ def main() -> None:
             measure_naive_up_to=36864,
             trials=5,
         )
-        print(emit_report(report, args.format))
+        show(report)
 
 
 if __name__ == "__main__":

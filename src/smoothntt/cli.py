@@ -5,11 +5,14 @@ by exactly n lines, each one canonical decimal residue in [0, p).  Every
 line ends with a single linefeed and there are no trailing blank lines, so
 valid files round-trip byte-identically.
 
-Exit codes: 0 success, 2 malformed vector file, 3 plan or parameter error.
+Exit codes: 0 success, 2 malformed, unreadable or unwritable vector file,
+3 plan or parameter error.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchmark
 from .errors import BadRadices, VectorFileError
@@ -63,10 +66,14 @@ def _parse_decimal(token: str, path: str) -> int:
 
 
 def write_vector_file(path: str, p: int, values) -> None:
+    """Write a vector file. Raises VectorFileError when the path cannot be written."""
     lines = [f"{_MAGIC} {_VERSION} {p} {len(values)}"]
-    lines.extend(str(int(v)) for v in values)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.extend(map(str, np.asarray(values).tolist()))
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise VectorFileError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_radices(text: str) -> list[int]:

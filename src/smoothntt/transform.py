@@ -8,38 +8,38 @@ The staged kernels use the self-sorting (Stockham) layout of Temperton's
 mixed-radix FFTs.  Before stage k, with L = r_1*...*r_{k-1} and
 m = n / (L * r_k), the buffer is viewed as an (L, r_k, m) array X, and the
 stage writes an (r_k, L, m) view Y of a second buffer whose row l0 + L*l1 is
-sum_j e1[l1, l0]^j * X[l0, j, :].  Here e1 is the omega^k table read with
-stride m and viewed as (r_k, L), so e1[l1, l0] = omega^(m*(l0 + L*l1)) with
-no copy.  The two buffers then swap roles.  After the last stage (L = n,
-m = 1) the output is in natural order.  `raw_order=True` gathers the
-natural output into digit-reversed order (`digit_reverse` maps slots to
-coefficient indices).
+the polynomial sum_j X[l0, j, :] * z^j evaluated at z = e1[l1, l0].  Here e1
+is the omega^k table read with stride m and viewed as (r_k, L), so
+e1[l1, l0] = omega^(m*(l0 + L*l1)) with no copy.  The two buffers then swap
+roles.  After the last stage (L = n, m = 1) the output is in natural order.
+`raw_order=True` gathers the natural output into digit-reversed order
+(`digit_reverse` maps slots to coefficient indices).
 
-Each kernel call owns three n-element int64 buffers: the private copy of
-its input, the stage output, and a product buffer each butterfly leg is
-multiplied into.  Stages write only through `out=` ufuncs and in-place
-reductions.  Leg 0 reads omega^0, leg 1 reads e1 itself, and legs j >= 2
-read e1^j, computed per stage as e1^(j-1) * e1 % p.  Those powers have
-n / m entries, so a transform whose last radix is 3 peaks at five n-element
-buffers.  Like the table, the powers e1^j are twiddle generation and
-`OpCounts` does not count them: n extra multiplications per transform at
-F_786433 (one radix-3 stage) and 1.5n at F_472393 (ten).
+A stage evaluates that polynomial by Horner's rule in Y itself: Y starts
+as the top leg X[:, r-1, :] times omega^0, and each of the r - 1 steps
+multiplies Y by e1, reduces it and adds the next lower leg.  Every
+intermediate stays <= 2(p - 1), so every product stays below
+2(p - 1)^2 < 2**63 for p < 2**31, and one reduction after the last step
+leaves bit-exact field values.  A stage reads only e1 and omega^0, so
+each kernel call owns two n-element int64 buffers, the private copy of
+its input and the stage output, and writes only through `out=` ufuncs and
+in-place operators.  The inverse reads the forward output at -j mod n in
+place.
 
-Two kernel variants are provided.  `fft_recursive` multiplies every butterfly
-term by a full twiddle-table entry, exponent zero included: exactly
-n * (r_1 + ... + r_s) multiplications and n * (r_1 + ... + r_s - s)
-additions.  `fft_twiddle` rearranges the twiddles so a radix-2 stage applies
-one input twiddle per element and then adds/subtracts: since an order-n
-omega with even n satisfies omega^(n/2 + t) = -omega^t, the second butterfly
-row reuses the negated product, and the stage costs n multiplications
-instead of 2n.  Stages of radix >= 3 are unchanged.  Operation counters
-tally exactly these performed multiplications and additions; the
-subtractions realizing the negation are counted as additions, the negation
-itself costs nothing.
+Two kernel variants are provided.  `fft_recursive` runs every stage as a
+Horner stage: n * r_k multiplications by table entries, omega^0 included,
+and n * (r_k - 1) additions, so n * (r_1 + ... + r_s) multiplications and
+n * (r_1 + ... + r_s - s) additions in all.  `fft_twiddle` rearranges the
+twiddles so a radix-2 stage applies one input twiddle per element and then
+adds/subtracts: since an order-n omega with even n satisfies
+omega^(n/2 + t) = -omega^t, the second butterfly row reuses the negated
+product, and the stage costs n multiplications instead of 2n.  Stages of
+radix >= 3 are unchanged.  Operation counters tally exactly the
+multiplications and additions the kernels run; the subtractions realizing
+the negation are counted as additions, the negation itself costs nothing.
 
-All kernels run on int64 numpy arrays.  Inputs must be residues in [0, p)
-and p < 2**31, so single products never overflow and butterfly sums are
-reduced before they can grow past 63 bits; results are bit-exact field values.
+All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
+and p < 2**31.
 
 The oracle `dft_naive` keeps no state and shares only the input check and
 the omega^k table with the kernels.  It evaluates the definition one block
@@ -185,8 +185,14 @@ def _default_radices(n: int) -> tuple[int, ...]:
 
 
 def _checked_schedule(radices: list[int] | tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The schedule as a tuple of ints; BadRadices unless each is >= 2 and they multiply to n."""
-    sched = tuple(int(r) for r in radices)
+    """The schedule as a tuple of ints.
+
+    BadRadices unless each radix is an integer >= 2 and they multiply to n.
+    """
+    try:
+        sched = tuple(operator.index(r) for r in radices)
+    except TypeError as exc:
+        raise BadRadices(f"radices must be integers, got {list(radices)!r}") from exc
     for r in sched:
         if r < 2:
             raise BadRadices(f"radix {r} < 2")
@@ -257,42 +263,49 @@ def _run_stages(
 ) -> np.ndarray:
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
-    t = np.empty(n, dtype=np.int64)
     L = 1
     for r in plan.radices:
         m = n // (L * r)
         X = x.reshape(L, r, m)
         Y = y.reshape(r, L, m)
-        T = t.reshape(r, L, m)
-        # e1[l1, l0] = omega^(m * (l0 + L*l1)); leg j is weighted by e1^j.
+        # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
+        # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
         if variant == TWIDDLE and r == 2:
             # Input twiddles on both butterfly legs (the first is omega^0),
             # then the multiplication-free 2-point transform: the second
             # output row is the negated product, realized by subtraction.
-            np.multiply(X[:, 0, :], table[0], out=T[0])
-            np.multiply(X[:, 1, :], e1[0], out=T[1])
-            T %= p
-            np.add(T[0], T[1], out=Y[0])
-            np.subtract(T[0], T[1], out=Y[1])
+            # Leg 0 is scaled in place: X is a buffer this call owns.
+            np.multiply(X[:, 1, :], e1[0], out=Y[1])
+            Y[1] %= p
+            X[:, 0, :] *= table[0]
+            np.add(X[:, 0, :], Y[1], out=Y[0])
+            np.subtract(X[:, 0, :], Y[1], out=Y[1])
             if counter is not None:
                 counter.multiplications += n
                 counter.additions += n
         else:
-            # Leg 0 is multiplied by omega^0 too, as the counts assume.
-            np.multiply(X[:, 0, :], table[0], out=Y)
-            Y %= p
-            for j in range(1, r):
-                w = e1 if j == 1 else w * e1 % p
-                np.multiply(X[:, j, :], w, out=T)
-                T %= p
-                np.add(Y, T, out=Y)
+            # Horner's rule, seeded with the top leg times omega^0 as the
+            # counts assume; every intermediate stays <= 2(p - 1).
+            np.multiply(X[:, r - 1, :], table[0], out=Y)
+            for j in range(r - 2, -1, -1):
+                Y *= e1
+                Y %= p
+                Y += X[:, j, :]
             if counter is not None:
                 counter.multiplications += n * r
                 counter.additions += n * (r - 1)
         Y %= p
         x, y = y, x
         L *= r
+    return x
+
+
+def _read_at_minus_j_scaled(plan: TransformPlan, x: np.ndarray) -> np.ndarray:
+    """n^-1 * x[-j mod n] for every j, written into x itself."""
+    x[1:] = x[:0:-1]
+    x *= plan.inv_n
+    x %= plan.p
     return x
 
 
@@ -307,7 +320,7 @@ def _transform(
     x = _run_stages(plan, _coerce_vector(v, plan.n, plan.p), variant, counter)
     if inverse:
         # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
-        x = np.concatenate((x[:1], x[:0:-1])) * plan.inv_n % plan.p
+        _read_at_minus_j_scaled(plan, x)
     if raw_order:
         return x[plan.permutation.forward]
     return x
@@ -370,8 +383,7 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
 
 def idft_naive(plan: TransformPlan, V) -> np.ndarray:
     """Direct inverse: n^-1 times the definition read at index -j mod n."""
-    x = dft_naive(plan, V)
-    return np.concatenate((x[:1], x[:0:-1])) * plan.inv_n % plan.p
+    return _read_at_minus_j_scaled(plan, dft_naive(plan, V))
 
 
 def predicted_counts(

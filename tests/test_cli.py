@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, vector file round trips, golden outputs."""
 
+import numpy as np
 import pytest
 
 from smoothntt.cli import main, read_vector_file, write_vector_file
@@ -17,6 +18,9 @@ def test_vector_file_round_trip(tmp_path):
     assert original == b"ntt-vec 1 5 4\n1\n2\n3\n4\n"
     p, values = read_vector_file(path)
     write_vector_file(path, p, values)
+    assert path.read_bytes() == original
+    # The kernels' int64 output writes the same bytes as a list.
+    write_vector_file(path, p, np.array(values, dtype=np.int64))
     assert path.read_bytes() == original
 
 
@@ -94,6 +98,18 @@ def test_transform_bad_omega_exits_3(tmp_path):
     write_vector_file(src, 5, [1, 2, 3, 4])
     assert main(["transform", str(src), str(dst), "--omega", "4"]) == 3
     assert not dst.exists()
+
+
+def test_transform_unwritable_output_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    write_vector_file(src, 5, [1, 2, 3, 4])
+    dst = tmp_path / "missing" / "out.txt"
+    assert main(["transform", str(src), str(dst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {dst}")
+    assert "Traceback" not in err
+    with pytest.raises(VectorFileError):
+        write_vector_file(dst, 5, [1, 2, 3, 4])
 
 
 def test_transform_raw_order(tmp_path):

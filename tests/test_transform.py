@@ -107,6 +107,16 @@ def test_plan_bad_radices():
         plan_transform(FieldParams(5), 4, radices=[2, 3])
     with pytest.raises(BadRadices):
         plan_transform(FieldParams(5), 4, radices=[1, 4])
+    # A non-integral radix is rejected, not truncated to (2, 2).
+    with pytest.raises(BadRadices):
+        plan_transform(FieldParams(5), 4, omega=2, radices=[2.9, 2])
+    with pytest.raises(BadRadices):
+        plan_transform(FieldParams(5), 4, radices=[np.float64(2.0), 2])
+    with pytest.raises(BadRadices):
+        predicted_counts(4, [2.5, 2], "twiddle")
+    plan = plan_transform(FieldParams(5), 4, omega=2, radices=np.array([2, 2]))
+    assert plan.radices == (2, 2) and all(type(r) is int for r in plan.radices)
+    assert predicted_counts(4, [np.int32(2), np.int64(2)], "twiddle") == OpCounts(8, 8)
 
 
 def test_plan_length_one_is_identity():
@@ -198,15 +208,18 @@ def test_dft_naive_unreduced_products_path():
     v = rng.integers(0, p, 96)
     assert dft_naive(small, v).tolist() == dft_reference(p, small.omega, v)
     assert np.array_equal(idft_naive(small, dft_naive(small, v)), v)
-    # 3840 = 225 blocks of 17 rows plus a partial block of 15.
+    # 3840 = 225 blocks of 17 rows plus a partial block of 15.  Its radices
+    # 3 and 5 run the Horner stages, whose intermediates reach 2(p - 1) and
+    # products 2(p - 1)^2; the all-(p - 1) vector sits on that edge.
     plan = plan_large(3840)
-    v = rng.integers(0, p, 3840)
-    got = dft_naive(plan, v)
-    assert np.array_equal(got, fft_twiddle(plan, v))
-    for j in (1, 3839):
-        expected = sum(pow(plan.omega, i * j, p) * int(v[i]) for i in range(3840)) % p
-        assert got[j] == expected
-    assert np.array_equal(idft_naive(plan, got), v)
+    for v in (rng.integers(0, p, 3840), np.full(3840, p - 1)):
+        got = dft_naive(plan, v)
+        assert np.array_equal(got, fft_twiddle(plan, v))
+        assert np.array_equal(got, fft_recursive(plan, v))
+        for j in (1, 3839):
+            expected = sum(pow(plan.omega, i * j, p) * int(v[i]) for i in range(3840)) % p
+            assert got[j] == expected
+        assert np.array_equal(idft_naive(plan, got), v)
 
 
 def test_dft_naive_partial_last_block_safe_products():
@@ -401,10 +414,13 @@ def test_table_is_read_only_and_kernels_leave_plan_unchanged(p, n, radices):
     assert plan_snapshot(plan) == before
 
 
-def test_kernel_peak_memory_is_five_vectors():
-    # Each call owns three n-element int64 buffers: the coerced copy of the
-    # input, the stage output and the product buffer.  The last radix-3
-    # stage adds e1^2 and the unreduced product it is reduced from, both n long.
+def test_kernel_peak_memory_is_two_vectors():
+    # Each call owns two n-element int64 buffers, the coerced copy of the
+    # input and the stage output: Horner stages accumulate in place and read
+    # only the strided view e1, and ifft reads its output at -j in place.
+    # A ufunc over strided or broadcast views also holds numpy's iterator
+    # buffers, np.getbufsize() elements for each of at most three operands,
+    # whatever n is (two of them in a radix-2 stage: 128 KiB in all).
     p = 147457
     plan = plan_transform(FieldParams(p), p - 1)
     n = plan.n
@@ -417,7 +433,10 @@ def test_kernel_peak_memory_is_five_vectors():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * n + 64 * 1024, (call.__name__, peak / (8 * n))
+        assert peak <= 2 * 8 * n + 3 * 8 * np.getbufsize() + 64 * 1024, (
+            call.__name__,
+            peak / (8 * n),
+        )
         assert np.array_equal(v, original)
 
 
