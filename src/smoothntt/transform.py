@@ -12,19 +12,31 @@ the polynomial sum_j X[l0, j, :] * z^j evaluated at z = e1[l1, l0].  Here e1
 is the omega^k table read with stride m and viewed as (r_k, L), so
 e1[l1, l0] = omega^(m*(l0 + L*l1)) with no copy.  The two buffers then swap
 roles.  After the last stage (L = n, m = 1) the output is in natural order.
-`raw_order=True` gathers the natural output into digit-reversed order
-(`digit_reverse` maps slots to coefficient indices).
+`raw_order=True` returns it in digit-reversed order as one transpose copy
+of its (r_s, ..., r_1) view (`digit_reverse` maps slots to coefficient
+indices).
 
 A stage evaluates that polynomial by Horner's rule in Y itself: Y starts
 as the top leg X[:, r-1, :] times omega^0, and each of the r - 1 steps
-multiplies Y by e1, reduces it and adds the next lower leg.  Every
-intermediate stays <= 2(p - 1), so every product stays below
-2(p - 1)^2 < 2**63 for p < 2**31, and one reduction after the last step
-leaves bit-exact field values.  A stage reads only e1 and omega^0, so
-each kernel call owns two n-element int64 buffers, the private copy of
-its input and the stage output, and writes only through `out=` ufuncs and
-in-place operators.  The inverse reads the forward output at -j mod n in
-place.
+multiplies Y by e1, reduces it and adds the next lower leg.
+
+Reduction is lazy.  Stages before the last hand on signed int64 entries
+congruent to the field values, not residues, and the kernel tracks one
+exclusive bound B on |entry|, starting at p for the residue input.  Each
+stage output is a reduced value (Horner's in-loop reduction, or the twiddle
+product's) plus or minus one input entry, so it stays below B + p, and so
+does every Horner intermediate: no product exceeds (B + p) * p.  Before a
+stage where (B + p) * p could reach 2**63, the kernel reduces its input in
+place and restarts at B = p, which always fits because 2p^2 < 2**63 for
+p < 2**31.  At p = 786433 no stage needs this; at p = 1811939329 and
+p = 2013265921 every stage after the first does.  The output of the last
+stage is reduced once, and numpy's `%` by a positive p maps negative
+entries into [0, p) too, so the kernel returns bit-exact residues.
+
+A stage reads only e1 and omega^0, so each kernel call owns two
+n-element int64 buffers, the private copy of its input and the stage
+output, and writes only through `out=` ufuncs and in-place operators.  The
+inverse reads the forward output at -j mod n in place.
 
 Two kernel variants are provided.  `fft_recursive` runs every stage as a
 Horner stage: n * r_k multiplications by table entries, omega^0 included,
@@ -251,7 +263,8 @@ def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
     if arr.min() < 0 or arr.max() >= p:
         raise NotReduced(f"vector entries must be residues in [0, {p})")
-    # Always a private copy: the staged kernels use it as a working buffer.
+    # Always a private copy: the staged kernels use it as a working buffer
+    # and leave unreduced, possibly negative, entries in it.
     return arr.astype(np.int64, copy=True)
 
 
@@ -263,8 +276,13 @@ def _run_stages(
 ) -> np.ndarray:
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
+    bound = p  # exclusive bound on |entry| of x; the input holds residues
     L = 1
     for r in plan.radices:
+        # The stage's products stay below (bound + p) * p; past int64, reduce first.
+        if (bound + p) * p >= 2**63:
+            x %= p
+            bound = p
         m = n // (L * r)
         X = x.reshape(L, r, m)
         Y = y.reshape(r, L, m)
@@ -286,7 +304,7 @@ def _run_stages(
                 counter.additions += n
         else:
             # Horner's rule, seeded with the top leg times omega^0 as the
-            # counts assume; every intermediate stays <= 2(p - 1).
+            # counts assume.
             np.multiply(X[:, r - 1, :], table[0], out=Y)
             for j in range(r - 2, -1, -1):
                 Y *= e1
@@ -295,9 +313,11 @@ def _run_stages(
             if counter is not None:
                 counter.multiplications += n * r
                 counter.additions += n * (r - 1)
-        Y %= p
+        # Every output is a residue plus or minus an input entry.
+        bound += p
         x, y = y, x
         L *= r
+    x %= p  # the one reduction of the output; % by p > 0 lands in [0, p)
     return x
 
 
@@ -322,7 +342,9 @@ def _transform(
         # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
         _read_at_minus_j_scaled(plan, x)
     if raw_order:
-        return x[plan.permutation.forward]
+        # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1):
+        # the same gather as plan.permutation.forward, as one transpose copy.
+        return x.reshape(plan.radices[::-1]).T.reshape(plan.n)
     return x
 
 

@@ -1,6 +1,7 @@
 """The reproduction scripts run end to end and print parseable output."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -10,22 +11,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_speedups_csv_is_one_table():
+def run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    script = ROOT / "scripts" / "reproduce_speedups.py"
-    out = subprocess.run(
-        [sys.executable, str(script), "--skip-wall-clock", "--format", "csv"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         check=True,
         capture_output=True,
         text=True,
         env=env,
     ).stdout
+
+
+def test_reproduce_speedups_csv_is_one_table():
+    out = run_script("reproduce_speedups.py", "--skip-wall-clock", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["pred_mul"], r["meas_mul"]) for r in rows] == [
         ("5013504", "5013504"),
         ("2949120", "2949120"),
         ("16515072", "16515072"),
     ]
+
+
+def test_output_digest_small_grid_is_pinned():
+    out = run_script("output_digest.py", "--small")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert len(rows) == 7 * 2 * 4 * 2  # cases x inputs x calls x orders
+    # Both forward variants and both inverse variants agree bit for bit.
+    by_call = {}
+    for p, n, schedule, call, order, kind, _mul, _add, sha in rows:
+        by_call.setdefault((p, n, schedule, order, kind, call[:4]), set()).add(sha)
+    assert all(len(shas) == 1 for shas in by_call.values())
+    # The whole listing is pinned: a kernel change must leave every output
+    # and operation count bit-identical.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "695882af54798ac0447eb80d139202f4279cf7fabc328d17109ee5b549f2c010"
+    )

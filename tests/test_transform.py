@@ -327,6 +327,68 @@ def test_random_schedules_match_oracle(oracle_plans, case):
         assert np.array_equal(raw, expected[DigitPermutation.from_radices(plan.radices).forward])
 
 
+# The {2,3}-smooth primes in (2^30, 2^31) with their primitive roots:
+# 2^11 * 3^12 + 1 and 2^26 * 3^3 + 1.  A stage's products reach (B + p) * p
+# for an entry bound B, so the kernel reduces its input before stages 7, 13,
+# ... at the first prime and before every stage after the first at the second.
+NEAR_2_31 = ((1088391169, 11, 11, 12), (1811939329, 13, 26, 3))
+
+
+@st.composite
+def near_2_31_schedules(draw):
+    """A prime near 2^31, a subgroup length n <= 2048 and a shuffled schedule."""
+    p, g, max2, max3 = draw(st.sampled_from(NEAR_2_31))
+    a = draw(st.integers(0, min(max2, 11)))
+    b_max = 0
+    while b_max < max3 and 2**a * 3 ** (b_max + 1) <= 2048:
+        b_max += 1
+    b = draw(st.integers(0 if a else 1, b_max))
+    radices = draw(st.permutations([2] * a + [3] * b))
+    return p, g, 2**a * 3**b, list(radices)
+
+
+@given(near_2_31_schedules(), st.sampled_from(["random", "p-1"]))
+@example((1811939329, 13, 1536, [2, 2, 2, 2, 2, 2, 3, 2, 2, 2]), "p-1")
+@settings(max_examples=30, deadline=None)
+def test_schedules_near_2_31_match_oracle(case, kind):
+    p, g, n, radices = case
+    # Passing omega skips the generator scan, which costs about p/n candidates.
+    plan = plan_transform(FieldParams(p), n, omega=pow(g, (p - 1) // n, p), radices=radices)
+    v = np.random.default_rng(n).integers(0, p, n) if kind == "random" else np.full(n, p - 1)
+    expected = dft_naive(plan, v)
+    raw_expected = expected[DigitPermutation.from_radices(plan.radices).forward]
+    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+        assert np.array_equal(kernel(plan, v), expected)
+        assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
+        assert np.array_equal(ifft(plan, expected, variant), v)
+
+
+def test_stage_entries_at_the_bound_stay_exact():
+    # At p = 2^26 * 3^3 + 1, 3p^2 >= 2^63 > 2p^2.  A radix-3 stage whose input
+    # entries come unreduced from one earlier stage (bound 2p) sees a Horner
+    # intermediate (p - 1) + (2p - 2) times a twiddle e; with e > 0.937p that
+    # product passes 2^63, so the kernel must reduce its input first.  Each
+    # input below drives one output row of the second stage onto that edge:
+    # the first stage leaves 2p - 2 in leg 1 and -e^-1 mod p in leg 2.
+    p = 1811939329
+    zeta = pow(13, (p - 1) // 9, p)  # a primitive 9th root of unity
+    # Schedule (2, 3), n = 6: stage 2, row l0 = 1, l1 = 1 has e = omega^3 = p - 1,
+    # and its legs are the recursive radix-2 outputs (p - v[3+j]) % p + v[j].
+    cases = [(6, pow(13, (p - 1) // 6, p), [2, 3], [0, p - 1, 1, 0, 1, 0], [fft_recursive])]
+    # Schedule (3, 3), n = 9, omega = zeta: stage 2, row l0 = 1, l1 = 2 has
+    # e = zeta^7 ~ 0.9401p.  Its legs are stage-1 row 1 (twiddle c = zeta^3)
+    # at columns j, i.e. ((v[6+j] c % p + v[3+j]) c % p) + v[j].
+    e, c = pow(zeta, 7, p), pow(zeta, 3, p)
+    assert 3 * (p - 1) * e >= 2**63 > 2 * p * p
+    v = [0, p - 1, -pow(e, -1, p) % p, 0, -pow(c, -1, p) % p, 0, 0, 0, 0]
+    cases.append((9, zeta, [3, 3], v, [fft_recursive, fft_twiddle]))
+    for n, omega, radices, v, kernels in cases:
+        plan = plan_transform(FieldParams(p), n, omega=omega, radices=radices)
+        expected = dft_reference(p, omega, v)
+        for kernel in kernels:
+            assert kernel(plan, v).tolist() == expected, (radices, kernel.__name__)
+
+
 def test_fft_subgroup_length_matches_naive():
     # order-36864 root inside F_147457: heavyweight but definitive
     plan = plan_transform(FieldParams(147457), 36864)
@@ -418,26 +480,29 @@ def test_kernel_peak_memory_is_two_vectors():
     # Each call owns two n-element int64 buffers, the coerced copy of the
     # input and the stage output: Horner stages accumulate in place and read
     # only the strided view e1, and ifft reads its output at -j in place.
-    # A ufunc over strided or broadcast views also holds numpy's iterator
-    # buffers, np.getbufsize() elements for each of at most three operands,
-    # whatever n is (two of them in a radix-2 stage: 128 KiB in all).
+    # Raw order copies the natural output once, after the stage buffer is
+    # freed.  A ufunc over strided or broadcast views also holds numpy's
+    # iterator buffers, np.getbufsize() elements for each of at most three
+    # operands, whatever n is (two of them in a radix-2 stage: 128 KiB in all).
     p = 147457
     plan = plan_transform(FieldParams(p), p - 1)
     n = plan.n
     v = np.random.default_rng(24).integers(0, p, n)
     original = v.copy()
     for call in (fft_twiddle, fft_recursive, ifft):
-        tracemalloc.start()
-        try:
-            call(plan, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * n + 3 * 8 * np.getbufsize() + 64 * 1024, (
-            call.__name__,
-            peak / (8 * n),
-        )
-        assert np.array_equal(v, original)
+        for raw_order in (False, True):
+            tracemalloc.start()
+            try:
+                call(plan, v, raw_order=raw_order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * n + 3 * 8 * np.getbufsize() + 64 * 1024, (
+                call.__name__,
+                raw_order,
+                peak / (8 * n),
+            )
+            assert np.array_equal(v, original)
 
 
 # --- inverse ----------------------------------------------------------------
