@@ -25,6 +25,7 @@ from .transform import (
     predicted_counts,
     RECURSIVE,
     TWIDDLE,
+    VARIANTS,
 )
 
 DEFAULT_NAIVE_CUTOFF = 1 << 14
@@ -77,10 +78,13 @@ def run_benchmark(
     One counted run pins measured == predicted (hard failure otherwise);
     `trials` timed runs per kernel give the median wall clock.  The direct
     transform is timed only when n <= measure_naive_up_to.  Raises
-    ValueError unless trials >= 1.
+    ValueError, before any planning, unless trials >= 1 and variant is
+    one of VARIANTS.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     plan = plan_transform(params, n, radices=radices)
     kernel = fft_recursive if variant == RECURSIVE else fft_twiddle
     predicted = predicted_counts(plan.n, plan.radices, variant)

@@ -62,7 +62,10 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
 def _parse_decimal(token: str, path: str) -> int:
     if not token.isdigit() or (len(token) > 1 and token[0] == "0"):
         raise VectorFileError(f"{path}: {token!r} is not a canonical decimal")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as exc:  # past Python's int-from-str digit limit
+        raise VectorFileError(f"{path}: {len(token)}-digit decimal is too long") from exc
 
 
 def write_vector_file(path: str, p: int, values) -> None:
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--radices", help="comma-separated radix schedule, e.g. 2,2,3")
     t.add_argument("--omega", type=int, help="order-n root of unity to use")
     t.add_argument(
-        "--raw-order", action="store_true", help="emit digit-reversed kernel order"
+        "--raw-order", action="store_true", help="emit digit-reversed order"
     )
     t.set_defaults(func=cmd_transform)
 

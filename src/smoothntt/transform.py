@@ -16,39 +16,39 @@ roles.  After the last stage (L = n, m = 1) the output is in natural order.
 of its (r_s, ..., r_1) view (`digit_reverse` maps slots to coefficient
 indices).
 
-A stage evaluates that polynomial by Horner's rule in Y itself: Y starts
-as the top leg X[:, r-1, :] times omega^0, and each of the r - 1 steps
-multiplies Y by e1, reduces it and adds the next lower leg.
+A stage evaluates that polynomial by Horner's rule in its first h output
+rows Z = Y[:h]: Z starts as the top leg X[:, r-1, :] times omega^0, and
+each of the r - 1 steps multiplies Z by e1, reduces it and adds the next
+lower leg.  The variants differ only in h.  `fft_recursive` takes h = r
+for every stage: n * r_k multiplications by table entries, omega^0
+included, and n * (r_k - 1) additions, so n * (r_1 + ... + r_s)
+multiplications and n * (r_1 + ... + r_s - s) additions in all.
+`fft_twiddle` takes h = 1 at radix 2, since an order-n omega with even n
+satisfies omega^(n/2 + t) = -omega^t, so e1[1] = -e1[0].  With t the
+reduced product X1 * e1[0], row 0 is X0 + t by Horner and row 1 is X0 - t
+by negation, and the stage costs n multiplications instead of 2n.  Stages
+of radix >= 3 are the same in both.  Operation counters tally the elements
+each stage's multiplications and additions write; the subtraction realizing
+the negation counts as an addition, the negation itself costs nothing.
 
 Reduction is lazy.  Stages before the last hand on signed int64 entries
 congruent to the field values, not residues, and the kernel tracks one
 exclusive bound B on |entry|, starting at p for the residue input.  Each
-stage output is a reduced value (Horner's in-loop reduction, or the twiddle
-product's) plus or minus one input entry, so it stays below B + p, and so
-does every Horner intermediate: no product exceeds (B + p) * p.  Before a
-stage where (B + p) * p could reach 2**63, the kernel reduces its input in
-place and restarts at B = p, which always fits because 2p^2 < 2**63 for
-p < 2**31.  At p = 786433 no stage needs this; at p = 1811939329 and
-p = 2013265921 every stage after the first does.  The output of the last
-stage is reduced once, and numpy's `%` by a positive p maps negative
-entries into [0, p) too, so the kernel returns bit-exact residues.
+stage output is a reduced Horner value plus or minus one input entry, so it
+stays below B + p, and so does every Horner intermediate: no product
+exceeds (B + p) * p.  Before a stage where (B + p) * p could reach 2**63,
+the kernel reduces its input in place and restarts at B = p, which always
+fits because 2p^2 < 2**63 for p < 2**31.  At p = 786433 no stage needs
+this; at p = 1811939329 and p = 2013265921 every stage after the first
+does.  The output of the last stage is reduced once, and numpy's `%` by a
+positive p maps negative entries into [0, p) too, so the kernel returns
+bit-exact residues.
 
-A stage reads only e1 and omega^0, so each kernel call owns two
-n-element int64 buffers, the private copy of its input and the stage
-output, and writes only through `out=` ufuncs and in-place operators.  The
-inverse reads the forward output at -j mod n in place.
-
-Two kernel variants are provided.  `fft_recursive` runs every stage as a
-Horner stage: n * r_k multiplications by table entries, omega^0 included,
-and n * (r_k - 1) additions, so n * (r_1 + ... + r_s) multiplications and
-n * (r_1 + ... + r_s - s) additions in all.  `fft_twiddle` rearranges the
-twiddles so a radix-2 stage applies one input twiddle per element and then
-adds/subtracts: since an order-n omega with even n satisfies
-omega^(n/2 + t) = -omega^t, the second butterfly row reuses the negated
-product, and the stage costs n multiplications instead of 2n.  Stages of
-radix >= 3 are unchanged.  Operation counters tally exactly the
-multiplications and additions the kernels run; the subtractions realizing
-the negation are counted as additions, the negation itself costs nothing.
+A stage reads only X, e1 and omega^0 and writes only Y, through `out=`
+ufuncs and in-place operators, so each kernel call owns two n-element
+int64 buffers, the private copy of its input and the stage output; only
+the reduce-first pass writes a stage's input.  The inverse reads the
+forward output at -j mod n in place.
 
 All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
@@ -159,11 +159,6 @@ class TransformPlan:
     def p(self) -> int:
         return self.params.p
 
-    @property
-    def permutation(self) -> DigitPermutation:
-        """Slot-to-coefficient map of the raw-order output, built on each read."""
-        return DigitPermutation.from_radices(self.radices)
-
 
 def build_twiddle_table(
     params: FieldParams, omega: FieldElement, n: int
@@ -259,7 +254,7 @@ def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     if arr.ndim != 1 or len(arr) != n:
         raise LengthMismatch(f"expected a length-{n} vector, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("vector entries must be integer residues")
+        raise NotReduced(f"vector entries must be integer residues, got dtype {arr.dtype}")
     # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
     if arr.min() < 0 or arr.max() >= p:
         raise NotReduced(f"vector entries must be residues in [0, {p})")
@@ -289,30 +284,23 @@ def _run_stages(
         # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
         # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
-        if variant == TWIDDLE and r == 2:
-            # Input twiddles on both butterfly legs (the first is omega^0),
-            # then the multiplication-free 2-point transform: the second
-            # output row is the negated product, realized by subtraction.
-            # Leg 0 is scaled in place: X is a buffer this call owns.
-            np.multiply(X[:, 1, :], e1[0], out=Y[1])
-            Y[1] %= p
-            X[:, 0, :] *= table[0]
-            np.add(X[:, 0, :], Y[1], out=Y[0])
-            np.subtract(X[:, 0, :], Y[1], out=Y[1])
-            if counter is not None:
-                counter.multiplications += n
-                counter.additions += n
-        else:
-            # Horner's rule, seeded with the top leg times omega^0 as the
-            # counts assume.
-            np.multiply(X[:, r - 1, :], table[0], out=Y)
-            for j in range(r - 2, -1, -1):
-                Y *= e1
-                Y %= p
-                Y += X[:, j, :]
-            if counter is not None:
-                counter.multiplications += n * r
-                counter.additions += n * (r - 1)
+        # Horner's rule on the first h rows, seeded with the top leg times
+        # omega^0 as the counts assume.  A twiddle radix-2 stage evaluates
+        # row 0 only; row 1 is X0 - X1 * e1[0], since e1[1] = -e1[0].
+        h = 1 if variant == TWIDDLE and r == 2 else r
+        Z = Y[:h]
+        np.multiply(X[:, r - 1, :], table[0], out=Z)
+        for j in range(r - 2, -1, -1):
+            Z *= e1[:h]
+            Z %= p
+            if j:
+                Z += X[:, j, :]
+        if h < r:
+            np.subtract(X[:, 0, :], Z[0], out=Y[1])
+        Z += X[:, 0, :]
+        if counter is not None:
+            counter.multiplications += Z.size * r
+            counter.additions += Z.size * (r - 1) + Y[h:].size
         # Every output is a residue plus or minus an input entry.
         bound += p
         x, y = y, x
@@ -343,7 +331,7 @@ def _transform(
         _read_at_minus_j_scaled(plan, x)
     if raw_order:
         # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1):
-        # the same gather as plan.permutation.forward, as one transpose copy.
+        # the gather by DigitPermutation.forward, as one transpose copy.
         return x.reshape(plan.radices[::-1]).T.reshape(plan.n)
     return x
 

@@ -101,3 +101,9 @@ def test_nonpositive_trials_rejected_before_planning(trials):
     # NotADivisor instead.
     with pytest.raises(ValueError, match="trials"):
         run_benchmark(FieldParams(5), 3, trials=trials)
+
+
+def test_unknown_variant_rejected_before_planning():
+    # As above: a plan built first would raise NotADivisor instead.
+    with pytest.raises(ValueError, match="unknown variant"):
+        run_benchmark(FieldParams(5), 3, variant="Twiddle")

@@ -24,9 +24,18 @@ def test_vector_file_round_trip(tmp_path):
     assert path.read_bytes() == original
 
 
+# Decimals past Python's 4300-digit int-from-str limit, in a value line and
+# in the header modulus.
+OVERSIZE = [
+    pytest.param("ntt-vec 1 5 1\n" + "1" * 5000 + "\n", id="oversize-value"),
+    pytest.param("ntt-vec 1 " + "1" * 5000 + " 1\n1\n", id="oversize-modulus"),
+]
+
+
 @pytest.mark.parametrize(
     "content",
-    [
+    OVERSIZE
+    + [
         "ntt-vec 1 5 4\n1\n2\n3\n",  # fewer lines than declared
         "ntt-vec 1 5 2\n1\n2\n3\n",  # more lines than declared
         "ntt-vec 2 5 1\n1\n",  # unknown version
@@ -81,6 +90,16 @@ def test_transform_malformed_exits_2(tmp_path, capsys):
     assert main(["transform", str(src), str(dst)]) == 2
     assert not dst.exists()
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("content", OVERSIZE)
+def test_transform_oversize_decimal_exits_2(tmp_path, capsys, content):
+    src = tmp_path / "in.txt"
+    dst = tmp_path / "out.txt"
+    write_text(src, content)
+    assert main(["transform", str(src), str(dst)]) == 2
+    assert not dst.exists()
+    assert capsys.readouterr().err.startswith(f"error: {src}: 5000-digit decimal")
 
 
 def test_transform_plan_error_exits_3(tmp_path, capsys):
