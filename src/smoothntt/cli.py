@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchmark
 from .errors import BadRadices, VectorFileError
-from .field import FieldParams, is_prime
+from .field import FIELD_MODULUS_LIMIT, FieldParams, is_prime
 from .numtheory import factorize, find_generator, prime_search
 from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle, ifft, plan_transform
 
@@ -43,6 +43,9 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
         raise VectorFileError(f"{path}: bad header {lines[0]!r}")
     p = _parse_decimal(header[2], path)
     n = _parse_decimal(header[3], path)
+    # The range check comes first: Miller-Rabin on a huge header takes seconds.
+    if not 2 < p < FIELD_MODULUS_LIMIT:
+        raise VectorFileError(f"{path}: header modulus {p} outside (2, 2**31)")
     if not is_prime(p):
         raise VectorFileError(f"{path}: header modulus {p} is not prime")
     data = lines[1:]

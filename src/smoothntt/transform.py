@@ -54,11 +54,14 @@ All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
 
 The oracle `dft_naive` keeps no state and shares only the input check and
-the omega^k table with the kernels.  It evaluates the definition one block
-of rows of the matrix omega^(j*i) at a time: the first block is gathered
-from the table once, and every later block is the one before it times
-omega^(rows*i), since omega^((j + rows)*i) = omega^(j*i) * omega^(rows*i)
-exactly in F_p.  `idft_naive` reads the same definition at index -j mod n.
+the omega^k table with the kernels.  It reads the definition X_j = P(omega^j),
+P(z) = sum_i x_i z^i, and evaluates P at every omega^j at once by Horner's
+rule: one pass per coefficient, from x_{n-1} down to x_0, multiplies an
+accumulator vector by the full table, adds the coefficient and reduces.  The
+accumulator holds residues, so no intermediate reaches p^2 + p < 2**63 and
+the one path serves every p < 2**31.  Beyond the input copy it holds only
+that n-element accumulator.  `idft_naive` reads the same definition at index
+-j mod n.
 """
 
 import math
@@ -81,10 +84,6 @@ from .numtheory import element_order, factorize, find_generator
 RECURSIVE = "recursive"
 TWIDDLE = "twiddle"
 VARIANTS = (RECURSIVE, TWIDDLE)
-
-# Matrix entries dft_naive holds per block of rows (int64: 512 KiB).
-_NAIVE_BLOCK_ELEMS = 1 << 16
-
 
 @dataclass
 class OpCounts:
@@ -375,20 +374,14 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
     """The O(n^2) transform straight from the definition; oracle for the FFTs."""
     p, n, table = plan.p, plan.n, plan.twiddles
     x = _coerce_vector(v, n, p)
-    # Reduced products summed over n terms stay below n*p < 2**62, so the
-    # elementwise reduction may be skipped whenever raw products already fit.
-    safe_products = n * (p - 1) * (p - 1) < 2**63
-    rows = max(1, min(n, _NAIVE_BLOCK_ELEMS // n))
-    i = np.arange(n, dtype=np.int64)
-    block = table[np.arange(rows, dtype=np.int64)[:, None] * i % n]
-    step = table[rows * i % n]
-    out = np.empty(n, dtype=np.int64)
-    for j0 in range(0, n, rows):
-        w = block[: n - j0]
-        out[j0 : j0 + rows] = (w @ x if safe_products else (w * x % p).sum(axis=1)) % p
-        block *= step  # the next rows: omega^((j + rows)*i)
-        block %= p
-    return out
+    # Horner's rule for P(z) = sum_i x_i z^i at every z = omega^j at once.
+    # acc stays a residue, so acc * omega^j + x_i < p^2 + p < 2**63.
+    acc = np.zeros(n, dtype=np.int64)
+    for xi in x[::-1]:
+        acc *= table
+        acc += xi
+        acc %= p
+    return acc
 
 
 def idft_naive(plan: TransformPlan, V) -> np.ndarray:

@@ -31,10 +31,20 @@ OVERSIZE = [
     pytest.param("ntt-vec 1 " + "1" * 5000 + " 1\n1\n", id="oversize-modulus"),
 ]
 
+# Prime header moduli outside the supported range (2, 2**31): the smallest
+# prime, the first prime past 2**31, and the 1332-digit Mersenne prime
+# 2**4423 - 1, which the range check rejects before any primality test.
+OUT_OF_RANGE = [
+    pytest.param("ntt-vec 1 2 1\n0\n", id="modulus-2"),
+    pytest.param("ntt-vec 1 2147483659 2\n0\n1\n", id="modulus-above-2**31"),
+    pytest.param(f"ntt-vec 1 {2**4423 - 1} 1\n0\n", id="modulus-mersenne-4423"),
+]
+
 
 @pytest.mark.parametrize(
     "content",
     OVERSIZE
+    + OUT_OF_RANGE
     + [
         "ntt-vec 1 5 4\n1\n2\n3\n",  # fewer lines than declared
         "ntt-vec 1 5 2\n1\n2\n3\n",  # more lines than declared
@@ -100,6 +110,16 @@ def test_transform_oversize_decimal_exits_2(tmp_path, capsys, content):
     assert main(["transform", str(src), str(dst)]) == 2
     assert not dst.exists()
     assert capsys.readouterr().err.startswith(f"error: {src}: 5000-digit decimal")
+
+
+@pytest.mark.parametrize("content", OUT_OF_RANGE)
+def test_transform_modulus_out_of_range_exits_2(tmp_path, capsys, content):
+    src = tmp_path / "in.txt"
+    dst = tmp_path / "out.txt"
+    write_text(src, content)
+    assert main(["transform", str(src), str(dst)]) == 2
+    assert not dst.exists()
+    assert "outside (2, 2**31)" in capsys.readouterr().err
 
 
 def test_transform_plan_error_exits_3(tmp_path, capsys):

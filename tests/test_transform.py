@@ -168,7 +168,7 @@ def test_dft_naive_matches_reference(plan9796):
 
 
 def test_dft_naive_blocked_path_matches_reference():
-    # 8192 rows in 1024 blocks of 8, each one the block before times a step
+    # n = 2^13: 8192 Horner passes, each over the whole table
     plan = plan_transform(FieldParams(147457), 8192)
     rng = np.random.default_rng(2)
     v = rng.integers(0, 147457, 8192)
@@ -199,8 +199,9 @@ def plan_large(n):
 
 
 def test_dft_naive_unreduced_products_path():
-    # Single products reach 2^62, so n of them overflow int64 and every
-    # product is reduced before the row sums.
+    # F_2013265921 is the field where the oracle's Horner step acc * omega^j
+    # reaches p^2 ~ 2^62, the widest below 2^63; a sum of n unreduced
+    # products would overflow int64 already at n = 96.
     p = P_LARGE
     assert 96 * (p - 1) ** 2 >= 2**63
     rng = np.random.default_rng(21)
@@ -208,7 +209,7 @@ def test_dft_naive_unreduced_products_path():
     v = rng.integers(0, p, 96)
     assert dft_naive(small, v).tolist() == dft_reference(p, small.omega, v)
     assert np.array_equal(idft_naive(small, dft_naive(small, v)), v)
-    # 3840 = 225 blocks of 17 rows plus a partial block of 15.  Its radices
+    # n = 3840 runs the oracle's 3840 Horner passes at that width.  Its radices
     # 3 and 5 run the Horner stages, whose intermediates reach 2(p - 1) and
     # products 2(p - 1)^2; the all-(p - 1) vector sits on that edge.
     plan = plan_large(3840)
@@ -223,7 +224,8 @@ def test_dft_naive_unreduced_products_path():
 
 
 def test_dft_naive_partial_last_block_safe_products():
-    # 2592 = 103 blocks of 25 rows plus a partial block of 17.
+    # n = 2^5 * 3^4 in F_629857: a mixed-radix length in a field whose Horner
+    # products stay below p^2 < 2^39.
     plan = plan_transform(FieldParams(629857), 2592)
     v = np.random.default_rng(22).integers(0, 629857, 2592)
     assert np.array_equal(dft_naive(plan, v), fft_twiddle(plan, v))
@@ -513,6 +515,22 @@ def test_kernel_peak_memory_is_two_vectors():
                 peak / (8 * n),
             )
             assert np.array_equal(v, original)
+
+
+@pytest.mark.parametrize("p, n", [(147457, 4608), (P_LARGE, 3840)])
+def test_oracle_peak_memory_is_two_vectors(p, n):
+    # The oracle owns the coerced copy of its input and one accumulator; each
+    # Horner pass works in place on contiguous arrays, so no ufunc buffers.
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+    v = np.random.default_rng(26).integers(0, p, n)
+    for call in (dft_naive, idft_naive):
+        tracemalloc.start()
+        try:
+            call(plan, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n + 16 * 1024, (call.__name__, peak - 2 * 8 * n)
 
 
 # --- inverse ----------------------------------------------------------------
