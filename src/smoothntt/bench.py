@@ -60,8 +60,19 @@ class BenchReport:
     wall_clock_naive_ns: int | None
 
 
-def _median_ns(samples: list[int]) -> int:
+def _median_ns(fn, plan: TransformPlan, vectors: list[np.ndarray]) -> int:
+    """Median wall clock of fn(plan, v) over the vectors, in nanoseconds."""
+    samples = []
+    for v in vectors:
+        t0 = time.perf_counter_ns()
+        fn(plan, v)
+        samples.append(time.perf_counter_ns() - t0)
     return int(round(statistics.median(samples)))
+
+
+def _ratio(naive: int, fast: int) -> Fraction:
+    """naive / fast, or 0 when the fast transform runs no such operation (n = 1)."""
+    return Fraction(naive, fast) if fast else Fraction(0)
 
 
 def run_benchmark(
@@ -102,21 +113,6 @@ def run_benchmark(
             f"for n={plan.n} radices={plan.radices} variant={variant}"
         )
 
-    fft_times = []
-    for v in vectors:
-        t0 = time.perf_counter_ns()
-        kernel(plan, v)
-        fft_times.append(time.perf_counter_ns() - t0)
-
-    naive_ns = None
-    if plan.n <= measure_naive_up_to:
-        naive_times = []
-        for v in vectors:
-            t0 = time.perf_counter_ns()
-            dft_naive(plan, v)
-            naive_times.append(time.perf_counter_ns() - t0)
-        naive_ns = _median_ns(naive_times)
-
     naive_mults = plan.n * plan.n
     naive_adds = plan.n * (plan.n - 1)
     return BenchReport(
@@ -128,14 +124,12 @@ def run_benchmark(
         predicted=predicted,
         naive_mults=naive_mults,
         naive_adds=naive_adds,
-        mult_ratio=Fraction(naive_mults, predicted.multiplications)
-        if predicted.multiplications
-        else Fraction(0),
-        add_ratio=Fraction(naive_adds, predicted.additions)
-        if predicted.additions
-        else Fraction(0),
-        wall_clock_fft_ns=_median_ns(fft_times),
-        wall_clock_naive_ns=naive_ns,
+        mult_ratio=_ratio(naive_mults, predicted.multiplications),
+        add_ratio=_ratio(naive_adds, predicted.additions),
+        wall_clock_fft_ns=_median_ns(kernel, plan, vectors),
+        wall_clock_naive_ns=_median_ns(dft_naive, plan, vectors)
+        if plan.n <= measure_naive_up_to
+        else None,
     )
 
 

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchmark
-from .errors import BadRadices, VectorFileError
-from .field import FIELD_MODULUS_LIMIT, FieldParams, is_prime
+from .errors import BadRadices, InvalidField, VectorFileError
+from .field import FieldParams
 from .numtheory import factorize, find_generator, prime_search
 from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle, ifft, plan_transform
 
@@ -43,11 +43,10 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
         raise VectorFileError(f"{path}: bad header {lines[0]!r}")
     p = _parse_decimal(header[2], path)
     n = _parse_decimal(header[3], path)
-    # The range check comes first: Miller-Rabin on a huge header takes seconds.
-    if not 2 < p < FIELD_MODULUS_LIMIT:
-        raise VectorFileError(f"{path}: header modulus {p} outside (2, 2**31)")
-    if not is_prime(p):
-        raise VectorFileError(f"{path}: header modulus {p} is not prime")
+    try:
+        FieldParams(p)
+    except InvalidField as exc:
+        raise VectorFileError(f"{path}: header {exc}") from exc
     data = lines[1:]
     if len(data) != n:
         raise VectorFileError(

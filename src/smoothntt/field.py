@@ -6,6 +6,7 @@ multiply followed by a single reduction is exact; no Montgomery or Barrett
 form is needed.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidField, ZeroInverse
@@ -52,6 +53,11 @@ class FieldParams:
     p: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "p", operator.index(self.p))
+        except TypeError as exc:
+            raise InvalidField(f"modulus {self.p!r} is not an integer") from exc
+        # The range check comes first: Miller-Rabin on a huge modulus takes seconds.
         if not (2 < self.p < FIELD_MODULUS_LIMIT):
             raise InvalidField(f"modulus {self.p} outside (2, 2**31)")
         if not is_prime(self.p):

@@ -99,9 +99,11 @@ def digit_reverse(radices: list[int] | tuple[int, ...], slot: int) -> int:
     The slot is decomposed into digits (d_1, ..., d_s) under the input
     strides iw_k = r_{k+1}*...*r_s and reassembled under the output weights
     jw_k = r_1*...*r_{k-1}.  For an all-2 schedule this is bit reversal; for
-    a single radix it is the identity.
+    a single radix it is the identity.  Raises BadRadices unless every radix
+    is an integer >= 2.
     """
     n = math.prod(radices)
+    radices = _checked_schedule(radices, n)
     if not 0 <= slot < n:
         raise OutOfRange(f"slot {slot} outside [0, {n})")
     index = 0
@@ -126,6 +128,7 @@ class DigitPermutation:
     def from_radices(cls, radices: tuple[int, ...]) -> "DigitPermutation":
         # Index digits (d_s, ..., d_1) read in slot order (d_1, ..., d_s).
         n = math.prod(radices)
+        radices = _checked_schedule(radices, n)
         forward = np.arange(n, dtype=np.int64).reshape(radices[::-1]).T.reshape(n)
         return cls(n, radices, forward)
 

@@ -1,5 +1,6 @@
 """Prime-field arithmetic against direct wide-integer oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -166,3 +167,14 @@ def test_field_params_validation():
     with pytest.raises(InvalidField):
         FieldParams(FIELD_MODULUS_LIMIT + 11)
     assert FieldParams(2**31 - 1).p == 2**31 - 1
+
+
+def test_field_params_converts_integer_types():
+    # A numpy integer modulus is converted to int; anything that is not an
+    # integer is an InvalidField, not a raw TypeError from pow.
+    params = FieldParams(np.int64(2013265921))
+    assert params == FieldParams(2013265921)
+    assert type(params.p) is int
+    for bad in (97.0, "97", np.float64(97.0)):
+        with pytest.raises(InvalidField):
+            FieldParams(bad)

@@ -212,6 +212,23 @@ def test_prime_search_records_are_valid():
         assert order_by_repeated_multiplication(rec.p, rec.generator) == rec.p - 1
 
 
+@pytest.mark.parametrize(
+    "lo, hi, allowed",
+    [(10, 10**4, {2, 3, 5}), (2, 10**5, {2, 5, 7}), (2, 2**17, {2})],
+)
+def test_prime_search_finds_every_smooth_prime(lo, hi, allowed):
+    def smooth(m):
+        for q in allowed:
+            while m % q == 0:
+                m //= q
+        return m == 1
+
+    expected = [q for q in range(lo + 1, hi) if is_prime(q) and smooth(q - 1)]
+    assert [r.p for r in prime_search(lo, hi, allowed)] == expected
+    if allowed == {2}:
+        assert expected == [3, 5, 17, 257, 65537]
+
+
 def test_prime_search_open_bounds():
     # 3 has p-1 = 2: excluded when lo=3, included when lo=2
     assert [r.p for r in prime_search(3, 5, {2})] == []

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,25 @@ def test_output_digest_small_grid_is_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "695882af54798ac0447eb80d139202f4279cf7fabc328d17109ee5b549f2c010"
     )
+
+
+def test_code_lines_total_is_sum_of_module_rows():
+    rows = [line.split() for line in run_script("code_lines.py").splitlines()]
+    *modules, (total, label) = rows
+    assert label == "total"
+    assert {name for _, name in modules} >= {"field.py", "transform.py", "cli.py"}
+    assert int(total) == sum(int(count) for count, _ in modules)
+    count_code_lines = runpy.run_path(str(ROOT / "scripts" / "code_lines.py"))[
+        "count_code_lines"
+    ]
+    source = (
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1 +\n"
+        "     2)\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return x  # trailing comment\n"
+    )
+    assert count_code_lines(source) == 4  # both lines of x, def, return

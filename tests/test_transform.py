@@ -167,7 +167,7 @@ def test_dft_naive_matches_reference(plan9796):
         assert dft_naive(plan9796, v).tolist() == dft_reference(97, plan9796.omega, v)
 
 
-def test_dft_naive_blocked_path_matches_reference():
+def test_dft_naive_matches_fft_at_n_8192():
     # n = 2^13: 8192 Horner passes, each over the whole table
     plan = plan_transform(FieldParams(147457), 8192)
     rng = np.random.default_rng(2)
@@ -198,7 +198,7 @@ def plan_large(n):
     return plan_transform(params, n, omega=pow(31, (P_LARGE - 1) // n, P_LARGE))
 
 
-def test_dft_naive_unreduced_products_path():
+def test_dft_naive_exact_where_products_reach_p_squared():
     # F_2013265921 is the field where the oracle's Horner step acc * omega^j
     # reaches p^2 ~ 2^62, the widest below 2^63; a sum of n unreduced
     # products would overflow int64 already at n = 96.
@@ -223,7 +223,7 @@ def test_dft_naive_unreduced_products_path():
         assert np.array_equal(idft_naive(plan, got), v)
 
 
-def test_dft_naive_partial_last_block_safe_products():
+def test_dft_naive_matches_fft_mixed_radix_2592():
     # n = 2^5 * 3^4 in F_629857: a mixed-radix length in a field whose Horner
     # products stay below p^2 < 2^39.
     plan = plan_transform(FieldParams(629857), 2592)
@@ -594,6 +594,16 @@ def test_digit_reverse_out_of_range():
         digit_reverse([2, 3], 6)
     with pytest.raises(OutOfRange):
         digit_reverse([2, 3], -1)
+
+
+@pytest.mark.parametrize("radices", [(2.5, 2), (-2, -3), (2, 0), (1, 6)])
+def test_digit_reversal_rejects_bad_radices(radices):
+    # Without the schedule check these returned 2.5 or 3, an empty
+    # permutation, or raised a raw numpy error.
+    with pytest.raises(BadRadices):
+        digit_reverse(list(radices), 1)
+    with pytest.raises(BadRadices):
+        DigitPermutation.from_radices(radices)
 
 
 @given(st.lists(st.integers(2, 5), min_size=0, max_size=6))
