@@ -6,8 +6,15 @@ only ever needs a handful of modular exponentiations per candidate.  The
 number of candidates is another matter: only elements of the order-n
 subgroup pass, so a subgroup of order n scans about p/n of them; for n = 96
 in F_2013265921 that took 37 s on a 2-core x86-64 host.
+
+Each prime is proven once, where it is first established.  A hand-built
+`Factorization` is checked by its constructor, Miller-Rabin included;
+`factorize` proves its primes by the trial division that finds them and
+skips that check.  `prime_search` lets `FieldParams` be the only primality
+test of a candidate.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
@@ -18,7 +25,13 @@ from .field import FIELD_MODULUS_LIMIT, FieldElement, FieldParams, fp_pow, is_pr
 
 @dataclass(frozen=True)
 class Factorization:
-    """A positive integer n as an ordered product of prime powers."""
+    """A positive integer n as an ordered product of prime powers.
+
+    The constructor validates a hand-built record: strictly increasing
+    primes, each proven by Miller-Rabin, positive exponents, and a product
+    equal to n.  `factorize` builds records that hold all of this by
+    construction, so it does not run these checks.
+    """
 
     n: int
     factors: tuple[tuple[int, int], ...]
@@ -55,8 +68,12 @@ def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1 by trial division.
 
     The divisors tried are 2, 3 and then every 6k - 1 and 6k + 1 (5, 7, 11,
-    13, ...), up to the square root of what is left to factor.
+    13, ...), up to the square root of what is left to factor.  That trial
+    division proves every factor prime, so no primality test runs here.
+    n is converted with `operator.index`: a non-integer raises TypeError and
+    a numpy integer gives plain-int fields.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     factors = []
@@ -72,7 +89,14 @@ def factorize(n: int) -> Factorization:
             factors.append((d, e))
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    # Bypass the validating constructor: a d that divides m is prime because
+    # every smaller prime is already stripped, and a cofactor m > 1 left once
+    # d * d > m has no divisor up to its square root.  The primes ascend, each
+    # exponent is at least 1 and their product is n by the loop itself.
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "factors", tuple(factors))
+    return f
 
 
 def euler_phi(f: Factorization) -> int:
@@ -101,12 +125,9 @@ def element_order(params: FieldParams, a: FieldElement, f: Factorization) -> int
     if f.n != params.p - 1:
         raise ValueError("factorization must be of p - 1")
     order = f.n
-    for q, e in f.factors:
-        for _ in range(e):
-            if order % q == 0 and fp_pow(a, order // q, params) == 1:
-                order //= q
-            else:
-                break
+    for q in f.primes:
+        while order % q == 0 and fp_pow(a, order // q, params) == 1:
+            order //= q
     return order
 
 
@@ -162,8 +183,9 @@ def prime_search(
     """Every prime p in (lo, hi) whose p - 1 factors entirely over allowed_primes.
 
     Candidates are enumerated directly as smooth numbers m = p - 1 (never by
-    scanning the whole interval) and primality-tested.  Each record carries
-    the factorization of p - 1 and the smallest full-group generator.
+    scanning the whole interval), and building `FieldParams(m + 1)` is their
+    one primality test.  Each record carries the factorization of p - 1 and
+    the smallest full-group generator.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -176,12 +198,12 @@ def prime_search(
         if not is_prime(q):
             raise ValueError(f"allowed factor {q} is not prime")
     records = []
-    for m in _smooth_numbers(lo - 1, hi - 1, base):
-        p = m + 1
-        # p = 2 would need a generator of the trivial group; below FieldParams range.
-        if p > 2 and is_prime(p):
-            params = FieldParams(p)
-            records.append(
-                SmoothPrimeRecord(p, factorize(m), find_generator(params, m))
-            )
+    # m > 1, so p = 2 (whose generator would be of the trivial group) is never
+    # a candidate; p = 2**31 fails the FieldParams range check.
+    for m in _smooth_numbers(max(lo, 2) - 1, hi - 1, base):
+        try:
+            params = FieldParams(m + 1)
+        except InvalidField:
+            continue
+        records.append(SmoothPrimeRecord(params.p, factorize(m), find_generator(params, m)))
     return records

@@ -5,6 +5,7 @@ multiplication for element orders, full trial division for primality.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -242,3 +243,73 @@ def test_prime_search_argument_validation():
         prime_search(1, 10, set())
     with pytest.raises(ValueError):
         prime_search(1, 10, {4})
+
+
+def factor_by_every_divisor(n: int) -> tuple[tuple[int, int], ...]:
+    # dumb oracle: strip every d >= 2 in turn, no wheel and no primality test
+    factors, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def test_factorize_runs_no_primality_test(monkeypatch):
+    # trial division proves each factor prime, so factorize never calls
+    # Miller-Rabin; the validating constructor accepts every result
+    def no_test(q):
+        raise AssertionError(f"is_prime({q}) called")
+
+    values = list(range(1, 2001)) + [
+        2**31 - 1,  # prime
+        2 * (2**30 - 35),  # 2 times a prime near 2**30
+        65537 * 32749,  # two primes, the cofactor above the square root
+        3 * 5 * 786433,
+        2**31 - 2,
+    ]
+    with monkeypatch.context() as m:
+        m.setattr("smoothntt.numtheory.is_prime", no_test)
+        results = [factorize(n) for n in values]
+    for n, f in zip(values, results):
+        assert f.n == n
+        assert f.factors == factor_by_every_divisor(n)
+        assert Factorization(f.n, f.factors) == f
+
+
+def test_prime_search_tests_each_candidate_once(monkeypatch):
+    tested = Counter()
+
+    def counting(original):
+        def wrapped(q):
+            tested[q] += 1
+            return original(q)
+
+        return wrapped
+
+    monkeypatch.setattr("smoothntt.field.is_prime", counting(is_prime))
+    monkeypatch.setattr("smoothntt.numtheory.is_prime", counting(is_prime))
+    records = prime_search(2**16, 2 * 10**6, {2, 3})
+    assert len(records) == 15
+    assert all(tested[r.p] == 1 for r in records)
+    assert max(tested.values()) == 1
+
+
+@pytest.mark.parametrize("bad", [2.5, 6.0, 7.0, Fraction(12), "12"], ids=repr)
+def test_factorize_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
+        factorize(bad)
+
+
+def test_factorize_numpy_integers_give_plain_ints():
+    for n, factors in ((97, ((97, 1),)), (12, ((2, 2), (3, 1)))):
+        f = factorize(np.int64(n))
+        assert f == Factorization(n, factors)
+        assert type(f.n) is int
+        assert all(type(p) is int and type(e) is int for p, e in f.factors)
