@@ -5,6 +5,10 @@ derived from the closed-form counts; wall clock uses a monotonic nanosecond
 timer with the median over a fixed number of trials on pre-generated seeded
 inputs.  The direct transform is only timed up to a size cutoff; above it
 the analytic counts alone tell the story.
+
+One table, `_CSV_COLUMNS`, defines the CSV layout: each column's name sits
+beside the cell it renders from a report, so `CSV_HEADER` and every row
+are joins over the same table.
 """
 
 import statistics
@@ -31,12 +35,6 @@ from .transform import (
 DEFAULT_NAIVE_CUTOFF = 1 << 14
 DEFAULT_TRIALS = 5
 _INPUT_SEED = 0x5EED
-
-CSV_HEADER = (
-    "p,n,radices,variant,meas_mul,meas_add,pred_mul,pred_add,"
-    "naive_mul,naive_add,mult_ratio,add_ratio,t_fft_ns,t_naive_ns"
-)
-
 
 class CountMismatch(RuntimeError):
     """Instrumented tallies disagreed with the closed-form prediction."""
@@ -135,49 +133,49 @@ def run_benchmark(
 
 def format_ratio(ratio: Fraction) -> str:
     """Exact decimal when the rational terminates in base 10, else "num/den"."""
-    den = ratio.denominator
-    digits = 0
-    for base in (2, 5):
-        while den % base == 0:
-            den //= base
-            digits += 1
-    if den != 1:
-        return f"{ratio.numerator}/{ratio.denominator}"
-    if ratio.denominator == 1:
-        return str(ratio.numerator)
-    scaled = ratio.numerator * 10**digits // ratio.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}".rstrip("0").rstrip(".")
+    # The decimal has d digits for the smallest d with ratio * 10^d an
+    # integer.  A denominator 2^a * 5^b needs d = max(a, b), which is below
+    # its bit length, so a d in that range exists exactly when the decimal
+    # terminates; the first one found leaves no trailing zero.  The digits
+    # are those of |ratio|, so a negative ratio gets one leading sign.
+    for d in range(ratio.denominator.bit_length()):
+        scaled, rest = divmod(abs(ratio.numerator) * 10**d, ratio.denominator)
+        if not rest:
+            whole, frac = divmod(scaled, 10**d)
+            return "-" * (ratio < 0) + (f"{whole}.{frac:0{d}d}" if d else str(whole))
+    return f"{ratio.numerator}/{ratio.denominator}"
 
 
 def _radices_str(radices: tuple[int, ...]) -> str:
     return "*".join(str(r) for r in radices) if radices else "1"
 
 
+# (column name, cell) pairs in CSV order; a direct transform above the
+# timing cutoff leaves its t_naive_ns cell empty, not zero.
+_CSV_COLUMNS = (
+    ("p", lambda r: str(r.p)),
+    ("n", lambda r: str(r.n)),
+    ("radices", lambda r: _radices_str(r.radices)),
+    ("variant", lambda r: r.variant),
+    ("meas_mul", lambda r: str(r.measured.multiplications)),
+    ("meas_add", lambda r: str(r.measured.additions)),
+    ("pred_mul", lambda r: str(r.predicted.multiplications)),
+    ("pred_add", lambda r: str(r.predicted.additions)),
+    ("naive_mul", lambda r: str(r.naive_mults)),
+    ("naive_add", lambda r: str(r.naive_adds)),
+    ("mult_ratio", lambda r: format_ratio(r.mult_ratio)),
+    ("add_ratio", lambda r: format_ratio(r.add_ratio)),
+    ("t_fft_ns", lambda r: str(r.wall_clock_fft_ns)),
+    ("t_naive_ns", lambda r: "" if r.wall_clock_naive_ns is None else str(r.wall_clock_naive_ns)),
+)
+
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+
 def emit_report(report: BenchReport, format: str = "human") -> str:
-    """Deterministic rendering of a report; CSV columns are fixed."""
+    """Deterministic rendering of a report; `_CSV_COLUMNS` fixes the CSV columns."""
     if format == "csv":
-        naive_cell = (
-            "" if report.wall_clock_naive_ns is None else str(report.wall_clock_naive_ns)
-        )
-        row = ",".join(
-            [
-                str(report.p),
-                str(report.n),
-                _radices_str(report.radices),
-                report.variant,
-                str(report.measured.multiplications),
-                str(report.measured.additions),
-                str(report.predicted.multiplications),
-                str(report.predicted.additions),
-                str(report.naive_mults),
-                str(report.naive_adds),
-                format_ratio(report.mult_ratio),
-                format_ratio(report.add_ratio),
-                str(report.wall_clock_fft_ns),
-                naive_cell,
-            ]
-        )
+        row = ",".join(cell(report) for _, cell in _CSV_COLUMNS)
         return f"{CSV_HEADER}\n{row}\n"
     if format != "human":
         raise ValueError(f"unknown format {format!r}")

@@ -22,7 +22,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(q: int) -> bool:
-    """Deterministic primality test, exact for every q below 2**31."""
+    """Deterministic primality test, exact for every q below 2**31.
+
+    q is converted with `operator.index`: a non-integer raises TypeError
+    before any test, and a numpy integer is tested as the plain int.
+    """
+    q = operator.index(q)
     if q < 2:
         return False
     for w in _MR_WITNESSES:

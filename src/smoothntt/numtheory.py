@@ -29,14 +29,19 @@ class Factorization:
 
     The constructor validates a hand-built record: strictly increasing
     primes, each proven by Miller-Rabin, positive exponents, and a product
-    equal to n.  `factorize` builds records that hold all of this by
-    construction, so it does not run these checks.
+    equal to n.  It first converts n, each prime and each exponent with
+    `operator.index`, so a float raises TypeError and a numpy integer is
+    stored as a plain int.  `factorize` builds records that hold all of this
+    by construction, so it does not run these checks.
     """
 
     n: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
+        factors = tuple((operator.index(q), operator.index(e)) for q, e in self.factors)
+        object.__setattr__(self, "factors", factors)
         prod = 1
         prev = 1
         for prime, exp in self.factors:
@@ -141,7 +146,9 @@ def find_generator(params: FieldParams, n: int) -> FieldElement:
     1, the only element of the trivial subgroup.  Only about one candidate
     in (p - 1)/n lies in the subgroup, so the scan tries about p/n of them:
     fast at full length, slow for a small subgroup of a large field.
+    n is converted with `operator.index`, so a float raises TypeError.
     """
+    n = operator.index(n)
     if n < 1 or (params.p - 1) % n != 0:
         raise NotADivisor(f"{n} does not divide p - 1 = {params.p - 1}")
     if n == 1:
@@ -185,7 +192,8 @@ def prime_search(
     Candidates are enumerated directly as smooth numbers m = p - 1 (never by
     scanning the whole interval), and building `FieldParams(m + 1)` is their
     one primality test.  Each record carries the factorization of p - 1 and
-    the smallest full-group generator.
+    the smallest full-group generator.  Each allowed prime is converted with
+    `operator.index`, so a float raises TypeError before any search.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -193,7 +201,7 @@ def prime_search(
         raise ValueError("allowed_primes must be non-empty")
     if hi > FIELD_MODULUS_LIMIT + 1:
         raise InvalidField("search bound exceeds the 2**31 modulus limit")
-    base = tuple(sorted(allowed_primes))
+    base = tuple(sorted(map(operator.index, allowed_primes)))
     for q in base:
         if not is_prime(q):
             raise ValueError(f"allowed factor {q} is not prime")

@@ -100,8 +100,10 @@ def digit_reverse(radices: list[int] | tuple[int, ...], slot: int) -> int:
     strides iw_k = r_{k+1}*...*r_s and reassembled under the output weights
     jw_k = r_1*...*r_{k-1}.  For an all-2 schedule this is bit reversal; for
     a single radix it is the identity.  Raises BadRadices unless every radix
-    is an integer >= 2.
+    is an integer >= 2.  The slot is converted with `operator.index`, so a
+    float raises TypeError.
     """
+    slot = operator.index(slot)
     n = math.prod(radices)
     radices = _checked_schedule(radices, n)
     if not 0 <= slot < n:

@@ -1,5 +1,6 @@
 """Benchmark reports: exact counts, ratio arithmetic, deterministic rendering."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -107,3 +108,85 @@ def test_unknown_variant_rejected_before_planning():
     # As above: a plan built first would raise NotADivisor instead.
     with pytest.raises(ValueError, match="unknown variant"):
         run_benchmark(FieldParams(5), 3, variant="Twiddle")
+
+
+def test_csv_header_literal():
+    assert CSV_HEADER == (
+        "p,n,radices,variant,meas_mul,meas_add,pred_mul,pred_add,"
+        "naive_mul,naive_add,mult_ratio,add_ratio,t_fft_ns,t_naive_ns"
+    )
+
+
+_TINY_LINES = (
+    "transform       F_5, n = 4, radices 2*2, variant recursive\n"
+    "fft counts      16 mul, 8 add (predicted 16 mul, 8 add)\n"
+    "direct counts   16 mul, 12 add\n"
+    "count ratios    x1 mul, x1.5 add\n"
+    "fft wall clock  {fft} ns\n"
+)
+_HEADLINE_LINES = (
+    "transform       F_147457, n = 147456, "
+    "radices 2*2*2*2*2*2*2*2*2*2*2*2*2*2*3*3, variant twiddle\n"
+    "fft counts      2949120 mul, 2654208 add (predicted 2949120 mul, 2654208 add)\n"
+    "direct counts   21743271936 mul, 21743124480 add\n"
+    "count ratios    x7372.8 mul, x147455/18 add\n"
+    "fft wall clock  {fft} ns\n"
+)
+_HEADLINE_ROW = (
+    "147457,147456,2*2*2*2*2*2*2*2*2*2*2*2*2*2*3*3,twiddle,2949120,2654208,"
+    "2949120,2654208,21743271936,21743124480,7372.8,147455/18,"
+)
+
+
+@pytest.mark.parametrize(
+    "which, fft_ns, naive_ns, csv_row, human_tail",
+    [
+        ("tiny", 0, None, "5,4,2*2,recursive,16,8,16,8,16,12,1,1.5,0,",
+         "direct wall clock skipped (above cutoff)\n"),
+        ("tiny", 0, 12345, "5,4,2*2,recursive,16,8,16,8,16,12,1,1.5,0,12345",
+         "direct wall clock 12345 ns\n"),
+        ("tiny", 1000, 12345, "5,4,2*2,recursive,16,8,16,8,16,12,1,1.5,1000,12345",
+         "direct wall clock 12345 ns\nmeasured speedup  x12.3\n"),
+        ("headline", 0, None, _HEADLINE_ROW + "0,",
+         "direct wall clock skipped (above cutoff)\n"),
+        ("headline", 0, 12345, _HEADLINE_ROW + "0,12345",
+         "direct wall clock 12345 ns\n"),
+    ],
+)
+def test_emit_report_golden(
+    request, which, fft_ns, naive_ns, csv_row, human_tail
+):
+    # Every byte of both renderings for fixed timings.
+    report = dataclasses.replace(
+        request.getfixturevalue(f"{which}_report"),
+        wall_clock_fft_ns=fft_ns,
+        wall_clock_naive_ns=naive_ns,
+    )
+    head = _TINY_LINES if which == "tiny" else _HEADLINE_LINES
+    assert emit_report(report, "csv") == f"{CSV_HEADER}\n{csv_row}\n"
+    assert emit_report(report, "human") == head.format(fft=fft_ns) + human_tail
+
+
+@pytest.mark.parametrize(
+    "ratio, text",
+    [
+        (Fraction(0), "0"),
+        (Fraction(1, 2**40), "0.0000000000009094947017729282379150390625"),
+        (Fraction(7, 15625000), "0.000000448"),
+        (Fraction(10**20 + 1, 10**6), "100000000000000.000001"),
+        (Fraction(2, 3), "2/3"),
+        (Fraction(1, 10), "0.1"),
+        (Fraction(10**6), "1000000"),
+    ],
+    ids=str,
+)
+def test_format_ratio_shortest_exact_decimal(ratio, text):
+    assert format_ratio(ratio) == text
+
+
+def test_format_ratio_negative_keeps_digits():
+    # No report holds a negative ratio; the sign goes in front of the digits.
+    assert format_ratio(Fraction(-1, 2)) == "-0.5"
+    assert format_ratio(Fraction(-1, 20)) == "-0.05"
+    assert format_ratio(Fraction(-7)) == "-7"
+    assert format_ratio(Fraction(-2, 3)) == "-2/3"

@@ -178,3 +178,17 @@ def test_field_params_converts_integer_types():
     for bad in (97.0, "97", np.float64(97.0)):
         with pytest.raises(InvalidField):
             FieldParams(bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, 7.0, 97.0, np.float64(7.0), "7"], ids=repr)
+def test_is_prime_rejects_non_integers(bad):
+    # Without the conversion, 2.0 and 7.0 pass the small-witness shortcut
+    # (q % w == 0 and q == w) as primes.
+    with pytest.raises(TypeError):
+        is_prime(bad)
+
+
+def test_is_prime_numpy_integers_match_ints():
+    for q in list(range(0, 200)) + [65537, 147457, 2**31 - 1, 2**31 - 2]:
+        for kind in (np.int64, np.int32, np.uint64):
+            assert is_prime(kind(q)) is is_prime(q), (kind, q)

@@ -313,3 +313,48 @@ def test_factorize_numpy_integers_give_plain_ints():
         assert f == Factorization(n, factors)
         assert type(f.n) is int
         assert all(type(p) is int and type(e) is int for p, e in f.factors)
+
+
+def test_factorization_converts_with_index():
+    # A float n, prime or exponent is a TypeError, not a record that prints
+    # "2.0*3"; numpy integers are stored as plain ints.
+    with pytest.raises(TypeError):
+        Factorization(6.0, ((2, 1), (3, 1)))
+    with pytest.raises(TypeError):
+        Factorization(6.0, ((2.0, 1), (3, 1)))
+    with pytest.raises(TypeError):
+        Factorization(12, ((2, 2.0), (3, 1)))
+    f = Factorization(np.int64(12), ((np.int64(2), np.int32(2)), (3, np.uint8(1))))
+    assert f == factorize(12)
+    assert str(f) == "2^2*3"
+    assert type(f.n) is int
+    assert all(type(p) is int and type(e) is int for p, e in f.factors)
+
+
+def test_find_generator_converts_n():
+    params = FieldParams(97)
+    for n in (96, 32, 12, 1):
+        a = find_generator(params, np.int64(n))
+        assert a == find_generator(params, n)
+        assert type(a) is int
+    with pytest.raises(TypeError):
+        find_generator(params, 96.0)
+
+
+def test_prime_search_rejects_float_primes():
+    # Without the conversion, {2.0, 3} returns [] where {2, 3} finds 15
+    # primes: a silently wrong answer.
+    with pytest.raises(TypeError):
+        prime_search(2**16, 2 * 10**6, {2.0, 3})
+    with pytest.raises(TypeError):
+        prime_search(1, 100, {np.float64(3)})
+
+
+def test_prime_search_numpy_primes_match_ints():
+    expected = prime_search(2**16, 2 * 10**6, {2, 3})
+    got = prime_search(2**16, 2 * 10**6, {np.int64(2), 3})
+    assert len(got) == 15
+    assert got == expected
+    for r in got:
+        assert type(r.p) is int and type(r.generator) is int
+        assert all(type(p) is int for p in r.factorization.primes)

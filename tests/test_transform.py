@@ -683,3 +683,13 @@ def test_convolution_matches_direct():
         v = rng.integers(0, 97, 8)
         got = cyclic_convolve_via_fft(plan, u, v)
         assert got.tolist() == convolve_reference(97, u, v)
+
+
+def test_digit_reverse_converts_slot():
+    # Without the conversion, a float slot gives a float index (2.0 for 1.0).
+    with pytest.raises(TypeError):
+        digit_reverse([2, 3], 1.0)
+    for s in range(6):
+        got = digit_reverse([2, 3], np.int64(s))
+        assert got == digit_reverse([2, 3], s)
+        assert type(got) is int
