@@ -22,10 +22,20 @@ from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle,
 
 _MAGIC = "ntt-vec"
 _VERSION = "1"
+_RADICES_HELP = (
+    "comma-separated radix schedule, e.g. 2,2,3: sets the raw-order layout"
+    " and the stage set; the stages run largest radix first"
+)
 
 
 def read_vector_file(path: str) -> tuple[int, list[int]]:
     """Parse a vector file, returning (p, values). Raises VectorFileError."""
+    params, values = _read_vector_file(path)
+    return params.p, values
+
+
+def _read_vector_file(path: str) -> tuple[FieldParams, list[int]]:
+    """Parse a vector file, returning the header's field and the values."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -44,7 +54,7 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
     p = _parse_decimal(header[2], path)
     n = _parse_decimal(header[3], path)
     try:
-        FieldParams(p)
+        params = FieldParams(p)
     except InvalidField as exc:
         raise VectorFileError(f"{path}: header {exc}") from exc
     data = lines[1:]
@@ -58,7 +68,7 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
         if value >= p:
             raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
         values.append(value)
-    return p, values
+    return params, values
 
 
 def _parse_decimal(token: str, path: str) -> int:
@@ -89,8 +99,7 @@ def _parse_radices(text: str) -> list[int]:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    p, values = read_vector_file(args.input)
-    params = FieldParams(p)
+    params, values = _read_vector_file(args.input)
     radices = _parse_radices(args.radices) if args.radices else None
     plan = plan_transform(params, len(values), omega=args.omega, radices=radices)
     if args.inverse:
@@ -99,7 +108,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         out = fft_recursive(plan, values, raw_order=args.raw_order)
     else:
         out = fft_twiddle(plan, values, raw_order=args.raw_order)
-    write_vector_file(args.output, p, out)
+    write_vector_file(args.output, params.p, out)
     return 0
 
 
@@ -146,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("output", help="output vector file")
     t.add_argument("--inverse", action="store_true", help="apply the inverse transform")
     t.add_argument("--variant", choices=VARIANTS, default=TWIDDLE)
-    t.add_argument("--radices", help="comma-separated radix schedule, e.g. 2,2,3")
+    t.add_argument("--radices", help=_RADICES_HELP)
     t.add_argument("--omega", type=int, help="order-n root of unity to use")
     t.add_argument(
         "--raw-order", action="store_true", help="emit digit-reversed order"
@@ -167,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="count and time one transform configuration")
     b.add_argument("p", type=int, help="prime modulus")
     b.add_argument("--n", type=int, help="transform length (default p-1)")
-    b.add_argument("--radices", help="comma-separated radix schedule")
+    b.add_argument("--radices", help=_RADICES_HELP)
     b.add_argument("--variant", choices=VARIANTS, default=TWIDDLE)
     b.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     b.add_argument("--naive-cutoff", type=int, default=DEFAULT_NAIVE_CUTOFF)

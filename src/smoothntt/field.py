@@ -87,7 +87,13 @@ def fp_mul(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElemen
 
 
 def fp_pow(a: FieldElement, e: int, params: FieldParams) -> FieldElement:
-    """Return a**e mod p by square-and-multiply; a**0 == 1."""
+    """Return a**e mod p by square-and-multiply; a**0 == 1.
+
+    a and e are converted with `operator.index`, so a numpy integer works
+    and a float raises TypeError.
+    """
+    a = operator.index(a)
+    e = operator.index(e)
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     return pow(a, e, params.p)

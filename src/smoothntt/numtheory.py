@@ -123,8 +123,10 @@ def element_order(params: FieldParams, a: FieldElement, f: Factorization) -> int
     """Exact multiplicative order of a in F_p*, given f = factorize(p - 1).
 
     Starts from the group order and strips prime factors while the power
-    stays 1; by Lagrange the result is the order.
+    stays 1; by Lagrange the result is the order.  a is converted with
+    `operator.index`, so a numpy integer works and a float raises TypeError.
     """
+    a = operator.index(a)
     if a % params.p == 0:
         raise ZeroElement("0 has no multiplicative order")
     if f.n != params.p - 1:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import smoothntt.field
 from smoothntt.cli import main, read_vector_file, write_vector_file
 from smoothntt.errors import VectorFileError
 
@@ -91,6 +92,18 @@ def test_transform_variants_agree(tmp_path):
     assert main(["transform", str(src), str(a), "--variant", "recursive"]) == 0
     assert main(["transform", str(src), str(b), "--variant", "twiddle"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_transform_tests_header_modulus_once(tmp_path, monkeypatch):
+    # The reader's FieldParams is the one the plan uses: one primality test
+    # of the header modulus per transform.
+    src = tmp_path / "in.txt"
+    write_vector_file(src, 97, list(range(96)))
+    tested = []
+    is_prime = smoothntt.field.is_prime
+    monkeypatch.setattr(smoothntt.field, "is_prime", lambda q: tested.append(q) or is_prime(q))
+    assert main(["transform", str(src), str(tmp_path / "out.txt")]) == 0
+    assert tested == [97]
 
 
 def test_transform_malformed_exits_2(tmp_path, capsys):

@@ -75,6 +75,17 @@ def test_pow_half_group_order_is_minus_one():
     assert fp_pow(3, 32768, params) == 65536
 
 
+def test_pow_converts_base_and_exponent():
+    # Numpy integers are read as plain ints; a float base or exponent is a
+    # TypeError from operator.index, not from pow.
+    params = FieldParams(97)
+    assert fp_pow(np.int64(5), 3, params) == fp_pow(5, np.int32(3), params) == 125 % 97
+    assert type(fp_pow(np.int64(5), np.uint64(3), params)) is int
+    for a, e in ((5.0, 3), (5, 3.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            fp_pow(a, e, params)
+
+
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         fp_pow(2, -1, FieldParams(17))

@@ -147,6 +147,16 @@ def test_element_order_examples():
     assert element_order(big, 10, factorize(147456)) == 147456
 
 
+def test_element_order_converts_its_element():
+    # A numpy integer is read as the plain int; a float is a TypeError from
+    # operator.index, not from pow.
+    params, f = FieldParams(97), factorize(96)
+    for kind in (np.int64, np.int32, np.uint64):
+        assert element_order(params, kind(5), f) == element_order(params, 5, f) == 96
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        element_order(params, 5.0, f)
+
+
 def test_element_order_zero():
     with pytest.raises(ZeroElement):
         element_order(FieldParams(17), 0, factorize(16))

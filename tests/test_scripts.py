@@ -52,6 +52,16 @@ def test_output_digest_small_grid_is_pinned():
     )
 
 
+def test_output_digest_full_grid_is_pinned():
+    # The full grid adds the paper's full-length fields and the lengths near
+    # 2^31 that reduce before each stage, which the small grid leaves out.
+    out = run_script("output_digest.py")
+    assert len(out.splitlines()) == 1 + 13 * 2 * 4 * 2  # header + cases x inputs x calls x orders
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7a65f07666a0f45da82bb78352d020b095393f6066561c441ea7583536b6174"
+    )
+
+
 def test_code_lines_total_is_sum_of_module_rows():
     rows = [line.split() for line in run_script("code_lines.py").splitlines()]
     *modules, (total, label) = rows

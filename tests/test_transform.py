@@ -5,6 +5,7 @@ ints; it shares no code with the numpy kernels or the plan's tables.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,32 @@ def test_schedule_invariance(radices):
         expected = dft_reference(13, 2, v)
         assert fft_recursive(plan, v).tolist() == expected
         assert fft_twiddle(plan, v).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "p, n, multiset", [(37, 36, (2, 2, 3, 3)), (433, 216, (2, 2, 2, 3, 3, 3))]
+)
+def test_every_schedule_order_matches_oracle(p, n, multiset):
+    # The stages run largest radix first whatever the listed order, so every
+    # ordering must give the oracle's output and counts, and raw order must
+    # follow plan.radices as listed.
+    oracle = plan_transform(FieldParams(p), n)
+    v = np.random.default_rng(n).integers(0, p, n)
+    expected = dft_naive(oracle, v)
+    for radices in sorted(set(itertools.permutations(multiset))):
+        plan = plan_transform(FieldParams(p), n, omega=oracle.omega, radices=radices)
+        assert plan.radices == radices
+        raw_expected = expected[DigitPermutation.from_radices(radices).forward]
+        for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+            counts = OpCounts()
+            assert np.array_equal(kernel(plan, v, counts), expected), (radices, variant)
+            assert counts == predicted_counts(n, radices, variant)
+            assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
+            assert np.array_equal(ifft(plan, expected, variant), v)
+            assert np.array_equal(
+                ifft(plan, expected, variant, raw_order=True),
+                v[DigitPermutation.from_radices(radices).forward],
+            )
 
 
 # Lengths whose schedules mix 2, 3 and composite radices up to 16, small
