@@ -11,6 +11,7 @@ beside the cell it renders from a report, so `CSV_HEADER` and every row
 are joins over the same table.
 """
 
+import operator
 import statistics
 import time
 from dataclasses import dataclass
@@ -88,8 +89,9 @@ def run_benchmark(
     `trials` timed runs per kernel give the median wall clock.  The direct
     transform is timed only when n <= measure_naive_up_to.  Raises
     ValueError, before any planning, unless trials >= 1 and variant is
-    one of VARIANTS.
+    one of VARIANTS; a non-integer `trials` raises TypeError there too.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if variant not in VARIANTS:

@@ -438,7 +438,11 @@ def predicted_counts(
                other stages and all addition counts are unchanged.  For a
                schedule of v1 twos and v2 threes this is n*(v1 + 3*v2)
                multiplications and n*(v1 + 2*v2) additions.
+
+    n is converted with `operator.index`, so a float raises TypeError and a
+    numpy integer gives plain int counts.
     """
+    n = operator.index(n)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     sched = _checked_schedule(radices, n)

@@ -104,6 +104,13 @@ def test_nonpositive_trials_rejected_before_planning(trials):
         run_benchmark(FieldParams(5), 3, trials=trials)
 
 
+def test_non_integer_trials_rejected_before_planning():
+    # Unconverted, trials=2.0 passed the trials check, so n = 3 raised
+    # NotADivisor from planning (and a valid n failed later, in range()).
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        run_benchmark(FieldParams(5), 3, trials=2.0)
+
+
 def test_unknown_variant_rejected_before_planning():
     # As above: a plan built first would raise NotADivisor instead.
     with pytest.raises(ValueError, match="unknown variant"):

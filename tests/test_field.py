@@ -86,6 +86,19 @@ def test_pow_converts_base_and_exponent():
             fp_pow(a, e, params)
 
 
+def test_add_sub_mul_convert_operands():
+    # Without the conversion fp_add(2.0, 3, F_5) returned 0.0 and numpy
+    # operands gave numpy results.
+    params = FieldParams(97)
+    for op, want in ((fp_add, (90 + 20) % 97), (fp_sub, 70), (fp_mul, 90 * 20 % 97)):
+        got = op(np.int64(90), np.uint32(20), params)
+        assert got == want
+        assert type(got) is int
+        for a, b in ((2.0, 3), (2, 3.0), (np.float64(2), 3)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                op(a, b, params)
+
+
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         fp_pow(2, -1, FieldParams(17))

@@ -657,6 +657,16 @@ def test_predicted_counts_examples():
         predicted_counts(4, [2, 2], "fast")
 
 
+def test_predicted_counts_converts_n():
+    # Without the conversion a float n gave OpCounts(288.0, 216.0) and a
+    # numpy n gave numpy counts.
+    with pytest.raises(TypeError):
+        predicted_counts(36.0, [2, 2, 3, 3], "twiddle")
+    got = predicted_counts(np.int64(36), [2, 2, 3, 3], "twiddle")
+    assert got == OpCounts(288, 216)
+    assert type(got.multiplications) is int and type(got.additions) is int
+
+
 def test_predicted_counts_general_radices():
     # only radix-2 stages get cheaper in the twiddle variant
     rec = predicted_counts(12, [4, 3], "recursive")
