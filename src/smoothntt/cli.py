@@ -30,12 +30,6 @@ _RADICES_HELP = (
 
 def read_vector_file(path: str) -> tuple[int, list[int]]:
     """Parse a vector file, returning (p, values). Raises VectorFileError."""
-    params, values = _read_vector_file(path)
-    return params.p, values
-
-
-def _read_vector_file(path: str) -> tuple[FieldParams, list[int]]:
-    """Parse a vector file, returning the header's field and the values."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -54,7 +48,7 @@ def _read_vector_file(path: str) -> tuple[FieldParams, list[int]]:
     p = _parse_decimal(header[2], path)
     n = _parse_decimal(header[3], path)
     try:
-        params = FieldParams(p)
+        FieldParams(p)
     except InvalidField as exc:
         raise VectorFileError(f"{path}: header {exc}") from exc
     data = lines[1:]
@@ -68,7 +62,7 @@ def _read_vector_file(path: str) -> tuple[FieldParams, list[int]]:
         if value >= p:
             raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
         values.append(value)
-    return params, values
+    return p, values
 
 
 def _parse_decimal(token: str, path: str) -> int:
@@ -99,16 +93,16 @@ def _parse_radices(text: str) -> list[int]:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    params, values = _read_vector_file(args.input)
+    p, values = read_vector_file(args.input)
     radices = _parse_radices(args.radices) if args.radices else None
-    plan = plan_transform(params, len(values), omega=args.omega, radices=radices)
+    plan = plan_transform(FieldParams(p), len(values), omega=args.omega, radices=radices)
     if args.inverse:
         out = ifft(plan, values, args.variant, raw_order=args.raw_order)
     elif args.variant == RECURSIVE:
         out = fft_recursive(plan, values, raw_order=args.raw_order)
     else:
         out = fft_twiddle(plan, values, raw_order=args.raw_order)
-    write_vector_file(args.output, params.p, out)
+    write_vector_file(args.output, p, out)
     return 0
 
 
@@ -192,7 +186,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, VectorFileError) else 3
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())

@@ -194,9 +194,11 @@ def prime_search(
     Candidates are enumerated directly as smooth numbers m = p - 1 (never by
     scanning the whole interval), and building `FieldParams(m + 1)` is their
     one primality test.  Each record carries the factorization of p - 1 and
-    the smallest full-group generator.  Each allowed prime is converted with
-    `operator.index`, so a float raises TypeError before any search.
+    the smallest full-group generator.  The bounds and each allowed prime are
+    converted with `operator.index`, so a float raises TypeError before any
+    search.
     """
+    lo, hi = operator.index(lo), operator.index(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if not allowed_primes:

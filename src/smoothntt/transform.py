@@ -121,8 +121,8 @@ def digit_reverse(radices: list[int] | tuple[int, ...], slot: int) -> int:
     float raises TypeError.
     """
     slot = operator.index(slot)
+    radices = _checked_schedule(radices)
     n = math.prod(radices)
-    radices = _checked_schedule(radices, n)
     if not 0 <= slot < n:
         raise OutOfRange(f"slot {slot} outside [0, {n})")
     index = 0
@@ -146,8 +146,8 @@ class DigitPermutation:
     @classmethod
     def from_radices(cls, radices: tuple[int, ...]) -> "DigitPermutation":
         # Index digits (d_s, ..., d_1) read in slot order (d_1, ..., d_s).
+        radices = _checked_schedule(radices)
         n = math.prod(radices)
-        radices = _checked_schedule(radices, n)
         forward = np.arange(n, dtype=np.int64).reshape(radices[::-1]).T.reshape(n)
         return cls(n, radices, forward)
 
@@ -212,19 +212,20 @@ def _default_radices(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _checked_schedule(radices: list[int] | tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The schedule as a tuple of ints.
+def _checked_schedule(radices, n: int | None = None) -> tuple[int, ...]:
+    """The schedule, read once from any iterable, as a tuple of ints.
 
-    BadRadices unless each radix is an integer >= 2 and they multiply to n.
+    BadRadices unless each radix is an integer >= 2 and, when n is given,
+    they multiply to n.
     """
     try:
-        sched = tuple(operator.index(r) for r in radices)
+        sched = tuple(map(operator.index, radices))
     except TypeError as exc:
-        raise BadRadices(f"radices must be integers, got {list(radices)!r}") from exc
+        raise BadRadices(f"radices must be integers: {exc}") from exc
     for r in sched:
         if r < 2:
             raise BadRadices(f"radix {r} < 2")
-    if math.prod(sched) != n:
+    if n is not None and math.prod(sched) != n:
         raise BadRadices(f"radices multiply to {math.prod(sched)}, not {n}")
     return sched
 

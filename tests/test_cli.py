@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import smoothntt.field
+import smoothntt.cli
 from smoothntt.cli import main, read_vector_file, write_vector_file
 from smoothntt.errors import VectorFileError
 
@@ -94,16 +94,20 @@ def test_transform_variants_agree(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_transform_tests_header_modulus_once(tmp_path, monkeypatch):
-    # The reader's FieldParams is the one the plan uses: one primality test
-    # of the header modulus per transform.
+def test_transform_reads_through_read_vector_file(tmp_path, monkeypatch):
+    # `transform` reads its input once, through the public reader that
+    # perfbench spans as `cli.read_vector_file`, not through a private twin.
     src = tmp_path / "in.txt"
     write_vector_file(src, 97, list(range(96)))
-    tested = []
-    is_prime = smoothntt.field.is_prime
-    monkeypatch.setattr(smoothntt.field, "is_prime", lambda q: tested.append(q) or is_prime(q))
+    calls = []
+
+    def recording(path):
+        calls.append(path)
+        return read_vector_file(path)
+
+    monkeypatch.setattr(smoothntt.cli, "read_vector_file", recording)
     assert main(["transform", str(src), str(tmp_path / "out.txt")]) == 0
-    assert tested == [97]
+    assert calls == [str(src)]
 
 
 def test_transform_malformed_exits_2(tmp_path, capsys):

@@ -255,6 +255,17 @@ def test_prime_search_argument_validation():
         prime_search(1, 10, {4})
 
 
+@pytest.mark.parametrize("lo, hi", [(2**16, 2e6), (65536.0, 2**21)], ids=repr)
+def test_prime_search_converts_bounds(monkeypatch, lo, hi):
+    # Without the conversion a float bound ran the whole search.
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("smoothntt.numtheory._smooth_numbers", no_search)
+    with pytest.raises(TypeError):
+        prime_search(lo, hi, {2, 3})
+
+
 def factor_by_every_divisor(n: int) -> tuple[tuple[int, int], ...]:
     # dumb oracle: strip every d >= 2 in turn, no wheel and no primality test
     factors, d = [], 2

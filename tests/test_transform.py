@@ -623,14 +623,31 @@ def test_digit_reverse_out_of_range():
         digit_reverse([2, 3], -1)
 
 
-@pytest.mark.parametrize("radices", [(2.5, 2), (-2, -3), (2, 0), (1, 6)])
+@pytest.mark.parametrize("radices", [(2.5, 2), (-2, -3), (2, 0), (1, 6), ["2", "3"], "23", 6])
 def test_digit_reversal_rejects_bad_radices(radices):
     # Without the schedule check these returned 2.5 or 3, an empty
-    # permutation, or raised a raw numpy error.
+    # permutation, or raised a raw numpy error.  Strings and a non-iterable
+    # raised a raw TypeError while the product came before the check.  Every
+    # reader of a schedule rejects the same ones.
     with pytest.raises(BadRadices):
-        digit_reverse(list(radices), 1)
+        digit_reverse(radices, 1)
     with pytest.raises(BadRadices):
         DigitPermutation.from_radices(radices)
+    with pytest.raises(BadRadices):
+        plan_transform(FieldParams(7), 6, omega=3, radices=radices)
+    with pytest.raises(BadRadices):
+        predicted_counts(6, radices, "twiddle")
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array, iter], ids=lambda f: f.__name__)
+def test_schedule_forms_agree_across_readers(form):
+    # digit_reverse and from_radices took the product before validating, so
+    # an iterator was consumed by math.prod and then read as empty.
+    forward = [0, 2, 4, 1, 3, 5]  # slot -> coefficient index
+    assert [digit_reverse(form([2, 3]), s) for s in range(6)] == forward
+    assert DigitPermutation.from_radices(form([2, 3])).forward.tolist() == forward
+    assert plan_transform(FieldParams(7), 6, omega=3, radices=form([2, 3])).radices == (2, 3)
+    assert predicted_counts(6, form([2, 3]), "twiddle") == OpCounts(24, 18)
 
 
 @given(st.lists(st.integers(2, 5), min_size=0, max_size=6))
