@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Time the transform kernels of two checkouts in interleaved pairs.
+
+Loads `smoothntt` from BASE_DIR/src and CHANGE_DIR/src under distinct
+module names, so both run in one process on the same inputs.  For every
+field and rep it times `fft_twiddle`, `fft_recursive` and `ifft` (twiddle
+variant, on the forward output) once per side, alternating which side runs
+first, and stops with an error unless the two outputs are bit-identical.
+Each field runs at its full length n = p - 1 on uniform residues seeded
+with p, with the base plan's omega and schedule on both sides.  `--fields`
+picks the primes (default F_472393, F_786433 and F_147457).  Prints one row
+per field and call: each side's median and quartiles in ms, the ratio of
+medians and the number of reps the change ran faster:
+
+    python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --reps 21
+
+A checkout against itself is a noise floor: its ratios scatter around 1.
+"""
+
+import argparse
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+DEFAULT_FIELDS = (472393, 786433, 147457)
+CALLS = ("fft_twiddle", "fft_recursive", "ifft")
+
+
+def load_package(checkout: str, name: str):
+    """Import CHECKOUT/src/smoothntt as the top-level module `name`."""
+    init = Path(checkout) / "src" / "smoothntt" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # the package's relative imports resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def timed(fn, *args) -> tuple[float, np.ndarray]:
+    start = time.perf_counter_ns()
+    out = fn(*args)
+    return (time.perf_counter_ns() - start) / 1e6, out
+
+
+def run_pairs(base, change, p: int, reps: int) -> dict[str, list]:
+    """Per call, `reps` (base_ms, change_ms) pairs on F_p at n = p - 1."""
+    base_plan = base.plan_transform(base.FieldParams(p), p - 1)
+    change_plan = change.plan_transform(
+        change.FieldParams(p), p - 1, omega=base_plan.omega, radices=base_plan.radices
+    )
+    sides = ((base, base_plan), (change, change_plan))
+    v = np.random.default_rng(p).integers(0, p, p - 1)
+    spectrum = base.fft_twiddle(base_plan, v)
+    inputs = {"fft_twiddle": v, "fft_recursive": v, "ifft": spectrum}
+    pairs = {call: [] for call in CALLS}
+    for rep in range(reps):
+        for call in CALLS:
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            ms, outs = [0.0, 0.0], [None, None]
+            for side in order:
+                module, plan = sides[side]
+                ms[side], outs[side] = timed(getattr(module, call), plan, inputs[call])
+            if not np.array_equal(outs[0], outs[1]):
+                raise SystemExit(f"error: {call} outputs differ on F_{p} (rep {rep})")
+            pairs[call].append(tuple(ms))
+    return pairs
+
+
+def quartiles(values) -> str:
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return f"{q2:9.2f} [{q1:.2f}, {q3:.2f}]"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--reps", type=int, default=11)
+    parser.add_argument("--fields", type=int, nargs="+", default=DEFAULT_FIELDS)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    base = load_package(args.base_dir, "smoothntt_base")
+    change = load_package(args.change_dir, "smoothntt_change")
+    print("field call base_ms_p50 [q1, q3] change_ms_p50 [q1, q3] ratio wins")
+    for p in args.fields:
+        for call, pairs in run_pairs(base, change, p, args.reps).items():
+            b, c = zip(*pairs)
+            wins = sum(cm < bm for bm, cm in pairs)
+            ratio = np.median(c) / np.median(b)
+            print(
+                f"F_{p} {call} {quartiles(b)} {quartiles(c)} "
+                f"{ratio:.3f} {wins}/{args.reps}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

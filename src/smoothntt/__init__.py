@@ -15,7 +15,7 @@ from .errors import (
     ZeroElement,
     ZeroInverse,
 )
-from .field import FieldElement, FieldParams, fp_add, fp_inv, fp_mul, fp_pow, fp_sub, is_prime
+from .field import FieldElement, FieldParams, fp_inv, fp_pow, is_prime
 from .numtheory import (
     Factorization,
     SmoothPrimeRecord,

@@ -69,28 +69,6 @@ class FieldParams:
             raise InvalidField(f"modulus {self.p} is not prime")
 
 
-def fp_add(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElement:
-    """Return (a + b) mod p for reduced residues a, b.
-
-    a and b are converted with `operator.index`, so a numpy integer gives a
-    plain int and a float raises TypeError.  The same holds for fp_sub and
-    fp_mul.
-    """
-    s = operator.index(a) + operator.index(b)
-    return s - params.p if s >= params.p else s
-
-
-def fp_sub(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElement:
-    """Return (a - b) mod p for reduced residues a, b."""
-    d = operator.index(a) - operator.index(b)
-    return d + params.p if d < 0 else d
-
-
-def fp_mul(a: FieldElement, b: FieldElement, params: FieldParams) -> FieldElement:
-    """Return (a * b) mod p; the product fits 64 bits by the modulus bound."""
-    return operator.index(a) * operator.index(b) % params.p
-
-
 def fp_pow(a: FieldElement, e: int, params: FieldParams) -> FieldElement:
     """Return a**e mod p by square-and-multiply; a**0 == 1.
 

@@ -20,12 +20,13 @@ returns the output in digit-reversed order for `plan.radices`, as one
 transpose copy (`digit_reverse` maps slots to coefficient indices).
 
 A stage evaluates that polynomial by Horner's rule in its first h output
-rows Z = Y[:h]: Z starts as the top leg X[:, r-1, :] times omega^0, and
-each of the r - 1 steps multiplies Z by e1, reduces it and adds the next
-lower leg.  The variants differ only in h.  `fft_recursive` takes h = r
-for every stage: n * r_k multiplications by table entries, omega^0
-included, and n * (r_k - 1) additions, so n * (r_1 + ... + r_s)
-multiplications and n * (r_1 + ... + r_s - s) additions in all.
+rows, one row Z = Y[l1] at a time: Z starts as the top leg X[:, r-1, :]
+times omega^0, and each of the r - 1 steps multiplies Z by e1[l1], reduces
+it and adds the next lower leg.  The variants differ only in h.
+`fft_recursive` takes h = r for every stage: n * r_k multiplications by
+table entries, omega^0 included, and n * (r_k - 1) additions, so
+n * (r_1 + ... + r_s) multiplications and n * (r_1 + ... + r_s - s)
+additions in all.
 `fft_twiddle` takes h = 1 at radix 2, since an order-n omega with even n
 satisfies omega^(n/2 + t) = -omega^t, so e1[1] = -e1[0].  With t the
 reduced product X1 * e1[0], row 0 is X0 + t by Horner and row 1 is X0 - t
@@ -44,28 +45,36 @@ the kernel reduces its input in place and restarts at B = p, which always
 fits because 2p^2 < 2**63 for p < 2**31.  At p = 786433 no stage needs
 this; at p = 1811939329 and p = 2013265921 every stage after the first
 does.  The output of the last stage is reduced once, into [0, p) for
-negative entries too, so the kernel returns bit-exact residues.
+negative entries too, so the kernel returns bit-exact residues.  The
+inverse folds its n^-1 scaling into that reduction: it multiplies the
+unreduced output by n^-1 < p first, which the same check keeps below
+2**63.
 
-Entries stay nonnegative up to the first twiddle radix-2 stage: a Horner
-step adds a nonnegative leg to a residue, and only the X0 - t row makes a
-signed entry.  Running the largest radices first puts every h = r stage
-before that row, so the `Z %= p` of its Horner steps sees nonnegative
-operands.  That matters because int64 `%` by a scalar is a scalar loop
-that branches on sign, while int64 floor division by a scalar is
-vectorized: at n = 393216 (numpy 2.4.6, 2-core x86-64 host) `%` took
-4.5 ns per element on nonnegative and 13.8 ns on mixed-sign operands, and
-z - (z // p) * p took 2.9 ns on mixed signs.  The reductions that can see
-signed entries therefore compute z - (z // p) * p through a whole free
-buffer: Y[1] in a twiddle radix-2 stage, which the subtraction overwrites
-later, and the stage-output buffer in the reduce-first pass and the final
-reduction.  An h = r stage keeps `%`: its Z fills Y while X is still read,
-so a scratch buffer would be a third n-element array.
+int64 `%` by a scalar is a scalar loop that branches on sign, while int64
+floor division by a scalar is vectorized: at n = 393216 (numpy 2.4.6,
+2-core x86-64 host) `%` took 4.5 ns per element on nonnegative and
+13.8 ns on mixed-sign operands, and z - (z // p) * p about 2.8 ns on
+either.
+So every reduction computes z - (z // p) * p through a free array of z's
+shape, and the kernel needs no third n-element buffer for it:
+- a Horner step of row l1 reduces through row l1 + 1, which is not yet
+  written; in a twiddle radix-2 stage that is Y[1], which the subtraction
+  fills afterwards;
+- the reduce-first pass reduces the stage input through the output buffer;
+- the final reduction, and the inverse's n^-1 scaling with it, goes
+  through the buffer the last stage read, which is free by then.  The
+  inverse writes n^-1 times the output read at -j mod n into that buffer
+  and reduces it through the other one.
+Only the last row of an h = r stage has no free row and keeps `Z %= p`.
+Its operands are nonnegative: entries stay nonnegative up to the first
+twiddle radix-2 stage, since a Horner step adds a nonnegative leg to a
+residue and only the X0 - t row makes a signed entry, and running the
+largest radices first puts every h = r stage before that row.
 
 A stage reads only X, e1 and omega^0 and writes only Y, through `out=`
 ufuncs and in-place operators, so each kernel call owns two n-element
 int64 buffers, the private copy of its input and the stage output; only
-the reduce-first pass writes a stage's input.  The inverse reads the
-forward output at -j mod n in place.
+the reduce-first pass writes a stage's input.
 
 All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
@@ -78,7 +87,8 @@ accumulator vector by the full table, adds the coefficient and reduces.  The
 accumulator holds residues, so no intermediate reaches p^2 + p < 2**63 and
 the one path serves every p < 2**31.  Beyond the input copy it holds only
 that n-element accumulator.  `idft_naive` reads the same definition at index
--j mod n.
+-j mod n through the kernels' final scaling and reduction, with a fresh
+scratch array taken after the input copy is freed.
 """
 
 import math
@@ -290,13 +300,15 @@ def _run_stages(
     x: np.ndarray,
     variant: str,
     counter: OpCounts | None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unreduced stage output, |entry| * p < 2**63, and the free buffer."""
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
     bound = p  # exclusive bound on |entry| of x; the input holds residues
     L = 1
     # Largest radix first: every h = r stage then reads nonnegative entries,
-    # so its `%` takes numpy's fast path.  plan.radices still sets raw order.
+    # so the `%` of its last row takes numpy's fast path.  plan.radices
+    # still sets raw order.
     for r in sorted(plan.radices, reverse=True):
         # The stage's products stay below (bound + p) * p; past int64, reduce first.
         if (bound + p) * p >= 2**63:
@@ -308,32 +320,33 @@ def _run_stages(
         # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
         # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
-        # Horner's rule on the first h rows, seeded with the top leg times
-        # omega^0 as the counts assume.  A twiddle radix-2 stage evaluates
-        # row 0 only; row 1 is X0 - X1 * e1[0], since e1[1] = -e1[0].
+        # Horner's rule on the first h rows, one row at a time, seeded with
+        # the top leg times omega^0 as the counts assume.  A twiddle radix-2
+        # stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
+        # e1[1] = -e1[0].
         h = 1 if variant == TWIDDLE and r == 2 else r
-        Z = Y[:h]
-        np.multiply(X[:, r - 1, :], table[0], out=Z)
-        for j in range(r - 2, -1, -1):
-            Z *= e1[:h]
+        for l1 in range(h):
+            Z = Y[l1]
+            np.multiply(X[:, r - 1, :], table[0], out=Z)
+            for j in range(r - 2, -1, -1):
+                Z *= e1[l1]
+                if l1 + 1 < r:
+                    _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
+                else:
+                    Z %= p  # nonnegative; no row of Y is free
+                if j:
+                    Z += X[:, j, :]
             if h < r:
-                _reduce(Z, p, Y[1:])  # Y[1] is free until the subtraction below
-            else:
-                Z %= p  # nonnegative; Z fills Y while X is still read
-            if j:
-                Z += X[:, j, :]
-        if h < r:
-            np.subtract(X[:, 0, :], Z[0], out=Y[1])
-        Z += X[:, 0, :]
+                np.subtract(X[:, 0, :], Z, out=Y[1])
+            Z += X[:, 0, :]
         if counter is not None:
-            counter.multiplications += Z.size * r
-            counter.additions += Z.size * (r - 1) + Y[h:].size
+            counter.multiplications += Y[:h].size * r
+            counter.additions += Y[:h].size * (r - 1) + Y[h:].size
         # Every output is a residue plus or minus an input entry.
         bound += p
         x, y = y, x
         L *= r
-    _reduce(x, p, y)  # the one reduction of the output
-    return x
+    return x, y
 
 
 def _reduce(z: np.ndarray, p: int, s: np.ndarray) -> None:
@@ -348,11 +361,20 @@ def _reduce(z: np.ndarray, p: int, s: np.ndarray) -> None:
     z -= s
 
 
-def _read_at_minus_j_scaled(plan: TransformPlan, x: np.ndarray) -> np.ndarray:
-    """n^-1 * x[-j mod n] for every j, written into x itself."""
-    x[1:] = x[:0:-1]
-    x *= plan.inv_n
-    x %= plan.p
+def _reduce_output(
+    plan: TransformPlan, x: np.ndarray, s: np.ndarray, inverse: bool
+) -> np.ndarray:
+    """x mod p, or n^-1 * x[-j mod n] mod p for every j when inverse.
+
+    |x| * p must stay below 2**63.  s is a free array of x's shape; the
+    result is written into x or s and returned.
+    """
+    if inverse:
+        # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
+        s[0] = x[0] * plan.inv_n
+        np.multiply(x[:0:-1], plan.inv_n, out=s[1:])
+        x, s = s, x
+    _reduce(x, plan.p, s)
     return x
 
 
@@ -364,10 +386,9 @@ def _transform(
     raw_order: bool,
     inverse: bool = False,
 ) -> np.ndarray:
-    x = _run_stages(plan, _coerce_vector(v, plan.n, plan.p), variant, counter)
-    if inverse:
-        # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
-        _read_at_minus_j_scaled(plan, x)
+    x, s = _run_stages(plan, _coerce_vector(v, plan.n, plan.p), variant, counter)
+    x = _reduce_output(plan, x, s, inverse)
+    del s  # the free buffer goes before the raw-order copy
     if raw_order:
         # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1):
         # the gather by DigitPermutation.forward, as one transpose copy.
@@ -426,7 +447,7 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
 
 def idft_naive(plan: TransformPlan, V) -> np.ndarray:
     """Direct inverse: n^-1 times the definition read at index -j mod n."""
-    return _read_at_minus_j_scaled(plan, dft_naive(plan, V))
+    return _reduce_output(plan, dft_naive(plan, V), np.empty(plan.n, np.int64), True)
 
 
 def predicted_counts(
@@ -458,4 +479,6 @@ def cyclic_convolve_via_fft(plan: TransformPlan, u, v) -> np.ndarray:
     """Cyclic convolution of u and v through forward transforms and one inverse."""
     U = fft_twiddle(plan, u)
     V = fft_twiddle(plan, v)
-    return ifft(plan, U * V % plan.p, TWIDDLE)
+    U *= V  # residues, so every product is below p^2 < 2**63
+    _reduce(U, plan.p, V)
+    return ifft(plan, U, TWIDDLE)

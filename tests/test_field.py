@@ -8,11 +8,8 @@ from smoothntt.errors import InvalidField, ZeroInverse
 from smoothntt.field import (
     FIELD_MODULUS_LIMIT,
     FieldParams,
-    fp_add,
     fp_inv,
-    fp_mul,
     fp_pow,
-    fp_sub,
     is_prime,
 )
 
@@ -27,27 +24,6 @@ def field_pairs(draw):
     a = draw(st.integers(0, p - 1))
     b = draw(st.integers(0, p - 1))
     return FieldParams(p), a, b
-
-
-def test_add_identity():
-    params = FieldParams(17)
-    for x in range(17):
-        assert fp_add(0, x, params) == x
-
-
-def test_add_examples():
-    assert fp_add(9, 13, FieldParams(17)) == 5
-    assert fp_add(4, 4, FieldParams(5)) == 3
-
-
-def test_mul_identity_and_negation():
-    params = FieldParams(147457)
-    assert fp_mul(1, 123456, params) == 123456
-    assert fp_mul(147456, 147456, params) == 1  # (-1) * (-1)
-
-
-def test_mul_example():
-    assert fp_mul(13, 9, FieldParams(17)) == 15
 
 
 def test_pow_zero_exponent():
@@ -86,19 +62,6 @@ def test_pow_converts_base_and_exponent():
             fp_pow(a, e, params)
 
 
-def test_add_sub_mul_convert_operands():
-    # Without the conversion fp_add(2.0, 3, F_5) returned 0.0 and numpy
-    # operands gave numpy results.
-    params = FieldParams(97)
-    for op, want in ((fp_add, (90 + 20) % 97), (fp_sub, 70), (fp_mul, 90 * 20 % 97)):
-        got = op(np.int64(90), np.uint32(20), params)
-        assert got == want
-        assert type(got) is int
-        for a, b in ((2.0, 3), (2, 3.0), (np.float64(2), 3)):
-            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                op(a, b, params)
-
-
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         fp_pow(2, -1, FieldParams(17))
@@ -117,34 +80,10 @@ def test_inv_zero():
 
 
 @given(field_pairs())
-def test_add_mul_match_integer_arithmetic(data):
-    params, a, b = data
-    assert fp_add(a, b, params) == (a + b) % params.p
-    assert fp_sub(a, b, params) == (a - b) % params.p
-    assert fp_mul(a, b, params) == (a * b) % params.p
-
-
-@given(field_pairs())
-def test_commutativity(data):
-    params, a, b = data
-    assert fp_add(a, b, params) == fp_add(b, a, params)
-    assert fp_mul(a, b, params) == fp_mul(b, a, params)
-
-
-@given(field_pairs(), st.integers(0, 2**31 - 1))
-def test_distributivity(data, c):
-    params, a, b = data
-    c %= params.p
-    left = fp_mul(a, fp_add(b, c, params), params)
-    right = fp_add(fp_mul(a, b, params), fp_mul(a, c, params), params)
-    assert left == right
-
-
-@given(field_pairs())
 def test_inverse_property(data):
     params, a, _ = data
     if a != 0:
-        assert fp_mul(a, fp_inv(a, params), params) == 1
+        assert a * fp_inv(a, params) % params.p == 1
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

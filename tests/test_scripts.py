@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +83,36 @@ def test_code_lines_total_is_sum_of_module_rows():
         "    return x  # trailing comment\n"
     )
     assert count_code_lines(source) == 4  # both lines of x, def, return
+
+
+def test_kernel_pairs_runs_a_checkout_against_itself():
+    out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--reps", "3", "--fields", "3457")
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header[:3] == ["field", "call", "base_ms_p50"]
+    assert [row[:2] for row in rows] == [
+        ["F_3457", "fft_twiddle"],
+        ["F_3457", "fft_recursive"],
+        ["F_3457", "ifft"],
+    ]
+    for row in rows:
+        wins, reps = row[-1].split("/")
+        assert reps == "3" and 0 <= int(wins) <= 3
+        assert float(row[-2]) > 0
+
+
+def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
+    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
+    with open(tmp_path / "src" / "smoothntt" / "transform.py", "a", encoding="utf-8") as f:
+        f.write(
+            "\n_fft_recursive = fft_recursive\n"
+            "def fft_recursive(plan, v):\n"
+            "    return (_fft_recursive(plan, v) + 1) % plan.p\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
+         "--reps", "1", "--fields", "3457"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "fft_recursive outputs differ on F_3457" in proc.stderr

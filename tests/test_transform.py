@@ -416,6 +416,13 @@ def test_stage_entries_at_the_bound_stay_exact():
         expected = dft_reference(p, omega, v)
         for kernel in kernels:
             assert kernel(plan, v).tolist() == expected, (radices, kernel.__name__)
+        # The inverse runs the same stages on v and scales their unreduced
+        # output by n^-1 before its one reduction: entries at the bound times
+        # n^-1 come closest to 2^63 there.
+        inverse = [expected[-j % n] * pow(n, -1, p) % p for j in range(n)]
+        for variant in ("recursive", "twiddle"):
+            assert ifft(plan, v, variant).tolist() == inverse, (radices, variant)
+        assert idft_naive(plan, v).tolist() == inverse, radices
 
 
 def test_fft_subgroup_length_matches_naive():
@@ -515,9 +522,10 @@ def test_table_is_read_only_and_kernels_leave_plan_unchanged(p, n, radices):
 def test_kernel_peak_memory_is_two_vectors():
     # Each call owns two n-element int64 buffers, the coerced copy of the
     # input and the stage output: a Horner stage reads its input and the
-    # strided view e1 and accumulates in its output, and ifft reads its
-    # output at -j in place.  Raw order copies the natural output once,
-    # after the stage buffer is freed.  A ufunc over strided or
+    # strided view e1 and accumulates in its output, and ifft writes the
+    # stage output read at -j into the free buffer and reduces through the
+    # other.  Raw order copies the natural output once, after the free
+    # buffer is released.  A ufunc over strided or
     # broadcast views also holds one numpy iterator buffer of np.getbufsize()
     # elements (64 KiB), whatever n is; every call peaks within 3 KiB of
     # that.  A ufunc with two strided or broadcast operands, such as an
@@ -548,6 +556,7 @@ def test_kernel_peak_memory_is_two_vectors():
 def test_oracle_peak_memory_is_two_vectors(p, n):
     # The oracle owns the coerced copy of its input and one accumulator; each
     # Horner pass works in place on contiguous arrays, so no ufunc buffers.
+    # idft_naive takes its scratch array only after that copy is freed.
     plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
     v = np.random.default_rng(26).integers(0, p, n)
     for call in (dft_naive, idft_naive):
@@ -577,6 +586,16 @@ def test_round_trip_both_variants(plan9796):
                 plan9796, v
             )
             assert np.array_equal(ifft(plan9796, fwd, variant), v)
+
+
+def test_round_trip_radix_5_schedule():
+    # n = 2^8 * 3 * 5 runs its radix-5 stage first: Horner rows 0..3 reduce
+    # through the next, still unwritten, output row and row 4 with `%`.
+    plan = plan_large(3840)
+    assert max(plan.radices) == 5
+    v = np.random.default_rng(27).integers(0, P_LARGE, plan.n)
+    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+        assert np.array_equal(ifft(plan, kernel(plan, v), variant), v)
 
 
 def test_linearity(plan9796):
