@@ -92,7 +92,7 @@ def _parse_radices(text: str) -> list[int]:
         raise BadRadices(f"bad radix list {text!r}") from exc
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
+def cmd_transform(args: argparse.Namespace) -> None:
     p, values = read_vector_file(args.input)
     radices = _parse_radices(args.radices) if args.radices else None
     plan = plan_transform(FieldParams(p), len(values), omega=args.omega, radices=radices)
@@ -103,25 +103,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
     else:
         out = fft_twiddle(plan, values, raw_order=args.raw_order)
     write_vector_file(args.output, p, out)
-    return 0
 
 
-def cmd_generator(args: argparse.Namespace) -> int:
+def cmd_generator(args: argparse.Namespace) -> None:
     params = FieldParams(args.p)
     n = params.p - 1 if args.n is None else args.n
     a = find_generator(params, n)
     print(f"{a} {factorize(n)}")
-    return 0
 
 
-def cmd_primes(args: argparse.Namespace) -> int:
+def cmd_primes(args: argparse.Namespace) -> None:
     factors = {int(tok) for tok in args.factors.split(",")}
     for rec in prime_search(args.min, args.max, factors):
         print(f"{rec.p} {rec.factorization} {rec.generator}")
-    return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> None:
     params = FieldParams(args.p)
     n = params.p - 1 if args.n is None else args.n
     radices = _parse_radices(args.radices) if args.radices else None
@@ -134,7 +131,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         trials=args.trials,
     )
     print(emit_report(report, args.format), end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, VectorFileError) else 3
+    return 0

@@ -22,11 +22,12 @@ transpose copy (`digit_reverse` maps slots to coefficient indices).
 A stage evaluates that polynomial by Horner's rule in its first h output
 rows, one row Z = Y[l1] at a time: Z starts as the top leg X[:, r-1, :]
 times omega^0, and each of the r - 1 steps multiplies Z by e1[l1], reduces
-it and adds the next lower leg.  The variants differ only in h.
-`fft_recursive` takes h = r for every stage: n * r_k multiplications by
-table entries, omega^0 included, and n * (r_k - 1) additions, so
-n * (r_1 + ... + r_s) multiplications and n * (r_1 + ... + r_s - s)
-additions in all.
+it and adds the next lower leg.  The variants differ only in h, and
+`_stage_rows` is the one rule that sets it, for the kernel and for
+`predicted_counts` alike.  A stage costs n * h multiplications by table
+entries, omega^0 included, and n * (r_k - 1) additions.
+`fft_recursive` takes h = r for every stage, so n * (r_1 + ... + r_s)
+multiplications and n * (r_1 + ... + r_s - s) additions in all.
 `fft_twiddle` takes h = 1 at radix 2, since an order-n omega with even n
 satisfies omega^(n/2 + t) = -omega^t, so e1[1] = -e1[0].  With t the
 reduced product X1 * e1[0], row 0 is X0 + t by Horner and row 1 is X0 - t
@@ -295,6 +296,16 @@ def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     return arr.astype(np.int64, copy=True)
 
 
+def _stage_rows(variant: str, r: int) -> int:
+    """h, the number of Horner rows a radix-r stage evaluates.
+
+    1 for a twiddle radix-2 stage, whose row 1 is a negation, and r
+    otherwise.  Callers check the variant first: a length-1 plan has no
+    stage, so a check here would never run for it.
+    """
+    return 1 if variant == TWIDDLE and r == 2 else r
+
+
 def _run_stages(
     plan: TransformPlan,
     x: np.ndarray,
@@ -324,7 +335,7 @@ def _run_stages(
         # the top leg times omega^0 as the counts assume.  A twiddle radix-2
         # stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
         # e1[1] = -e1[0].
-        h = 1 if variant == TWIDDLE and r == 2 else r
+        h = _stage_rows(variant, r)
         for l1 in range(h):
             Z = Y[l1]
             np.multiply(X[:, r - 1, :], table[0], out=Z)
@@ -390,8 +401,8 @@ def _transform(
     x = _reduce_output(plan, x, s, inverse)
     del s  # the free buffer goes before the raw-order copy
     if raw_order:
-        # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1):
-        # the gather by DigitPermutation.forward, as one transpose copy.
+        # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1),
+        # the index digit_reverse(plan.radices, slot), as one transpose copy.
         return x.reshape(plan.radices[::-1]).T.reshape(plan.n)
     return x
 
@@ -453,8 +464,11 @@ def idft_naive(plan: TransformPlan, V) -> np.ndarray:
 def predicted_counts(
     n: int, radices: list[int] | tuple[int, ...], variant: str
 ) -> OpCounts:
-    """Closed-form operation counts for a staged length-n transform.
+    """Exact operation counts for a staged length-n transform.
 
+    The sum over stages of n * h multiplications and n * (r_k - 1)
+    additions, with h from `_stage_rows`, the rule the kernel runs.  In
+    closed form:
     recursive: n * sum(r_k) multiplications, n * (sum(r_k) - s) additions.
     twiddle:   each radix-2 stage drops from 2n to n multiplications;
                other stages and all addition counts are unchanged.  For a
@@ -468,11 +482,8 @@ def predicted_counts(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     sched = _checked_schedule(radices, n)
-    total = sum(sched)
-    mults = n * total
-    if variant == TWIDDLE:
-        mults -= n * sum(1 for r in sched if r == 2)
-    return OpCounts(multiplications=mults, additions=n * (total - len(sched)))
+    mults = sum(n * _stage_rows(variant, r) for r in sched)
+    return OpCounts(multiplications=mults, additions=sum(n * (r - 1) for r in sched))
 
 
 def cyclic_convolve_via_fft(plan: TransformPlan, u, v) -> np.ndarray:

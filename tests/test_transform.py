@@ -47,6 +47,14 @@ def dft_reference(p: int, omega: int, v) -> list[int]:
     ]
 
 
+def raw_order_reference(radices, n: int) -> np.ndarray:
+    """Coefficient index of each raw-order slot, one scalar digit_reverse per slot.
+
+    Independent of the kernels' raw-order transpose, which it checks.
+    """
+    return np.array([digit_reverse(radices, s) for s in range(n)], dtype=np.int64)
+
+
 def convolve_reference(p: int, u, v) -> list[int]:
     n = len(u)
     return [
@@ -300,7 +308,8 @@ def test_every_schedule_order_matches_oracle(p, n, multiset):
     for radices in sorted(set(itertools.permutations(multiset))):
         plan = plan_transform(FieldParams(p), n, omega=oracle.omega, radices=radices)
         assert plan.radices == radices
-        raw_expected = expected[DigitPermutation.from_radices(radices).forward]
+        raw_order = raw_order_reference(radices, n)
+        raw_expected = expected[raw_order]
         for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
             counts = OpCounts()
             assert np.array_equal(kernel(plan, v, counts), expected), (radices, variant)
@@ -309,7 +318,7 @@ def test_every_schedule_order_matches_oracle(p, n, multiset):
             assert np.array_equal(ifft(plan, expected, variant), v)
             assert np.array_equal(
                 ifft(plan, expected, variant, raw_order=True),
-                v[DigitPermutation.from_radices(radices).forward],
+                v[raw_order],
             )
 
 
@@ -353,7 +362,7 @@ def test_random_schedules_match_oracle(oracle_plans, case):
         assert counts == predicted_counts(n, radices, variant)
         assert np.array_equal(ifft(plan, expected, variant), v)
         raw = kernel(plan, v, raw_order=True)
-        assert np.array_equal(raw, expected[DigitPermutation.from_radices(plan.radices).forward])
+        assert np.array_equal(raw, expected[raw_order_reference(plan.radices, n)])
 
 
 # The {2,3}-smooth primes in (2^30, 2^31) with their primitive roots:
@@ -385,7 +394,7 @@ def test_schedules_near_2_31_match_oracle(case, kind):
     plan = plan_transform(FieldParams(p), n, omega=pow(g, (p - 1) // n, p), radices=radices)
     v = np.random.default_rng(n).integers(0, p, n) if kind == "random" else np.full(n, p - 1)
     expected = dft_naive(plan, v)
-    raw_expected = expected[DigitPermutation.from_radices(plan.radices).forward]
+    raw_expected = expected[raw_order_reference(plan.radices, n)]
     for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
         assert np.array_equal(kernel(plan, v), expected)
         assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
@@ -438,8 +447,7 @@ def test_raw_order_is_digit_reversed(plan9796):
     v = rng.integers(0, 97, 96)
     raw = fft_twiddle(plan9796, v, raw_order=True)
     natural = fft_twiddle(plan9796, v)
-    perm = DigitPermutation.from_radices(plan9796.radices)
-    assert np.array_equal(natural[perm.forward], raw)
+    assert np.array_equal(natural[raw_order_reference(plan9796.radices, 96)], raw)
 
 
 def test_length_mismatch(plan54):
@@ -689,8 +697,29 @@ def test_predicted_counts_examples():
     assert twd.additions == 2_654_208
     with pytest.raises(BadRadices):
         predicted_counts(4, [2, 3], "twiddle")
-    with pytest.raises(ValueError):
-        predicted_counts(4, [2, 2], "fast")
+    # Checked before the per-stage rule, which an empty schedule never reads.
+    for n, radices in ((4, [2, 2]), (1, [])):
+        with pytest.raises(ValueError, match="unknown variant"):
+            predicted_counts(n, radices, "fast")
+    # The paper's closed forms, on every order of v1 twos and v2 threes:
+    # the kernel and the model share one stage rule, so the model is
+    # anchored here on its own.
+    for v1, v2 in itertools.product(range(7), range(5)):
+        n = 2**v1 * 3**v2
+        twiddle = OpCounts(n * (v1 + 3 * v2), n * (v1 + 2 * v2))
+        recursive = OpCounts(n * (2 * v1 + 3 * v2), n * (v1 + 2 * v2))
+        for threes in itertools.combinations(range(v1 + v2), v2):
+            radices = [3 if k in threes else 2 for k in range(v1 + v2)]
+            assert predicted_counts(n, radices, "twiddle") == twiddle, radices
+            assert predicted_counts(n, radices, "recursive") == recursive, radices
+
+
+def test_ifft_rejects_unknown_variant(plan9796):
+    # A length-1 plan runs no stage, so a check inside the per-stage rule
+    # would never reject the variant there.
+    for plan in (plan_transform(FieldParams(97), 1), plan9796):
+        with pytest.raises(ValueError, match="unknown variant"):
+            ifft(plan, np.zeros(plan.n, dtype=np.int64), "fast")
 
 
 def test_predicted_counts_converts_n():
