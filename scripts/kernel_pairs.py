@@ -3,9 +3,9 @@
 
 Loads `smoothntt` from BASE_DIR/src and CHANGE_DIR/src under distinct
 module names, so both run in one process on the same inputs.  For every
-field and rep it times `fft_twiddle`, `fft_recursive` and `ifft` (twiddle
-variant, on the forward output) once per side, alternating which side runs
-first, and stops with an error unless the two outputs are bit-identical.
+field and rep it times `fft_twiddle`, `fft_recursive` and `ifft` (on the
+forward output) once per side, alternating which side runs first, and
+stops with an error unless the two outputs are bit-identical.
 Each field runs at its full length n = p - 1 on uniform residues seeded
 with p, with the base plan's omega and schedule on both sides.  `--fields`
 picks the primes (default F_472393, F_786433 and F_147457).  Prints one row

@@ -2,7 +2,7 @@
 """Print one SHA-256 per transform output over a fixed grid of fields and schedules.
 
 Each line names the field, the length, the radix schedule, the call
-(`fft_twiddle`, `fft_recursive`, or `ifft` with either variant), the output
+(`fft_twiddle`, `fft_recursive` or `ifft`, which has no variant), the output
 order and the input kind (seeded uniform residues, or every entry p - 1),
 then the operation counts of a forward call and the SHA-256 of the output
 as little-endian int64 bytes.  Two checkouts that print the same lines
@@ -50,7 +50,7 @@ FULL_GRID = SMALL_GRID + (
 )
 
 FORWARD = {"fft_twiddle": fft_twiddle, "fft_recursive": fft_recursive}
-CALLS = (*FORWARD, "ifft_twiddle", "ifft_recursive")
+CALLS = (*FORWARD, "ifft")
 HEADER = "p n schedule call order input mul add sha256"
 
 
@@ -76,7 +76,7 @@ def case_lines(p: int, n: int, root: int | None, radices) -> list[str]:
                     out = FORWARD[call](plan, v, counts, raw_order=raw_order)
                     mul, add = counts.multiplications, counts.additions
                 else:
-                    out = ifft(plan, v, call.removeprefix("ifft_"), raw_order=raw_order)
+                    out = ifft(plan, v, raw_order=raw_order)
                     mul = add = "-"  # ifft takes no counter
                 lines.append(f"{p} {n} {schedule} {call} {order} {kind} {mul} {add} {digest(out)}")
     return lines

@@ -26,6 +26,10 @@ _RADICES_HELP = (
     "comma-separated radix schedule, e.g. 2,2,3: sets the raw-order layout"
     " and the stage set; the stages run largest radix first"
 )
+_VARIANT_HELP = (
+    "forward kernel; both variants write the same bytes, and --inverse"
+    " always runs the twiddle kernel"
+)
 
 
 def read_vector_file(path: str) -> tuple[int, list[int]]:
@@ -97,7 +101,7 @@ def cmd_transform(args: argparse.Namespace) -> None:
     radices = _parse_radices(args.radices) if args.radices else None
     plan = plan_transform(FieldParams(p), len(values), omega=args.omega, radices=radices)
     if args.inverse:
-        out = ifft(plan, values, args.variant, raw_order=args.raw_order)
+        out = ifft(plan, values, raw_order=args.raw_order)
     elif args.variant == RECURSIVE:
         out = fft_recursive(plan, values, raw_order=args.raw_order)
     else:
@@ -144,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("input", help="input vector file")
     t.add_argument("output", help="output vector file")
     t.add_argument("--inverse", action="store_true", help="apply the inverse transform")
-    t.add_argument("--variant", choices=VARIANTS, default=TWIDDLE)
+    t.add_argument("--variant", choices=VARIANTS, default=TWIDDLE, help=_VARIANT_HELP)
     t.add_argument("--radices", help=_RADICES_HELP)
     t.add_argument("--omega", type=int, help="order-n root of unity to use")
     t.add_argument(

@@ -32,7 +32,8 @@ multiplications and n * (r_1 + ... + r_s - s) additions in all.
 satisfies omega^(n/2 + t) = -omega^t, so e1[1] = -e1[0].  With t the
 reduced product X1 * e1[0], row 0 is X0 + t by Horner and row 1 is X0 - t
 by negation, and the stage costs n multiplications instead of 2n.  Stages
-of radix >= 3 are the same in both.  Operation counters tally the elements
+of radix >= 3 are the same in both.  `ifft` takes no counter and always
+runs the twiddle stages.  Operation counters tally the elements
 each stage's multiplications and additions write; the subtraction realizing
 the negation counts as an addition, the negation itself costs nothing.
 
@@ -202,7 +203,7 @@ def build_twiddle_table(
     """
     p = params.p
     table = np.empty(n, dtype=np.int64)
-    table[0] = 1
+    table[:1] = 1  # empty when n = 0
     filled = 1
     step = omega % p
     while filled < n:
@@ -300,8 +301,9 @@ def _stage_rows(variant: str, r: int) -> int:
     """h, the number of Horner rows a radix-r stage evaluates.
 
     1 for a twiddle radix-2 stage, whose row 1 is a negation, and r
-    otherwise.  Callers check the variant first: a length-1 plan has no
-    stage, so a check here would never run for it.
+    otherwise.  The callers that take a variant, `predicted_counts` and
+    `bench.run_benchmark`, check it first: a length-1 plan has no stage, so
+    a check here would never run for it.
     """
     return 1 if variant == TWIDDLE and r == 2 else r
 
@@ -429,17 +431,14 @@ def fft_twiddle(
     return _transform(plan, v, TWIDDLE, counter, raw_order)
 
 
-def ifft(
-    plan: TransformPlan,
-    V,
-    variant: str = TWIDDLE,
-    *,
-    raw_order: bool = False,
-) -> np.ndarray:
-    """Inverse transform: forward kernel read at index -j mod n, scaled by n^-1 mod p."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _transform(plan, V, variant, None, raw_order, inverse=True)
+def ifft(plan: TransformPlan, V, *, raw_order: bool = False) -> np.ndarray:
+    """Inverse transform: the twiddle kernel read at index -j mod n, scaled by n^-1 mod p.
+
+    The variants differ only in the multiplications the forward stages
+    spend, and the inverse takes no counter, so it always runs the cheaper
+    twiddle kernel.
+    """
+    return _transform(plan, V, TWIDDLE, None, raw_order, inverse=True)
 
 
 def dft_naive(plan: TransformPlan, v) -> np.ndarray:
@@ -492,4 +491,4 @@ def cyclic_convolve_via_fft(plan: TransformPlan, u, v) -> np.ndarray:
     V = fft_twiddle(plan, v)
     U *= V  # residues, so every product is below p^2 < 2**63
     _reduce(U, plan.p, V)
-    return ifft(plan, U, TWIDDLE)
+    return ifft(plan, U)

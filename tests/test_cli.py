@@ -94,6 +94,17 @@ def test_transform_variants_agree(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_inverse_ignores_variant(tmp_path):
+    # --variant picks the forward kernel only; the inverse has one path.
+    src = tmp_path / "in.txt"
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    write_vector_file(src, 13, [5, 1, 12, 0, 3, 3, 7, 9, 11, 2, 6, 10])
+    assert main(["transform", str(src), str(a), "--inverse", "--variant", "recursive"]) == 0
+    assert main(["transform", str(src), str(b), "--inverse"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_transform_reads_through_read_vector_file(tmp_path, monkeypatch):
     # `transform` reads its input once, through the public reader that
     # perfbench spans as `cli.read_vector_file`, not through a private twin.

@@ -146,6 +146,17 @@ def test_twiddle_table_matches_fp_pow():
         assert table[k] == fp_pow(11, k, params)
 
 
+def test_twiddle_table_short_lengths():
+    # omega^k for k in [0, n): empty at n = 0, just omega^0 at n = 1.
+    params = FieldParams(13)
+    empty = build_twiddle_table(params, 2, 0)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    one = build_twiddle_table(params, 2, 1)
+    assert one.dtype == np.int64 and one.tolist() == [1]
+    with pytest.raises(ValueError):
+        build_twiddle_table(params, 2, -1)
+
+
 def test_twiddle_table_group_law(plan9796):
     n, p = plan9796.n, plan9796.p
     rng = np.random.default_rng(3)
@@ -315,11 +326,8 @@ def test_every_schedule_order_matches_oracle(p, n, multiset):
             assert np.array_equal(kernel(plan, v, counts), expected), (radices, variant)
             assert counts == predicted_counts(n, radices, variant)
             assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
-            assert np.array_equal(ifft(plan, expected, variant), v)
-            assert np.array_equal(
-                ifft(plan, expected, variant, raw_order=True),
-                v[raw_order],
-            )
+        assert np.array_equal(ifft(plan, expected), v)
+        assert np.array_equal(ifft(plan, expected, raw_order=True), v[raw_order])
 
 
 # Lengths whose schedules mix 2, 3 and composite radices up to 16, small
@@ -360,9 +368,9 @@ def test_random_schedules_match_oracle(oracle_plans, case):
         counts = OpCounts()
         assert np.array_equal(kernel(plan, v, counts), expected)
         assert counts == predicted_counts(n, radices, variant)
-        assert np.array_equal(ifft(plan, expected, variant), v)
         raw = kernel(plan, v, raw_order=True)
         assert np.array_equal(raw, expected[raw_order_reference(plan.radices, n)])
+    assert np.array_equal(ifft(plan, expected), v)
 
 
 # The {2,3}-smooth primes in (2^30, 2^31) with their primitive roots:
@@ -395,10 +403,10 @@ def test_schedules_near_2_31_match_oracle(case, kind):
     v = np.random.default_rng(n).integers(0, p, n) if kind == "random" else np.full(n, p - 1)
     expected = dft_naive(plan, v)
     raw_expected = expected[raw_order_reference(plan.radices, n)]
-    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+    for kernel in (fft_recursive, fft_twiddle):
         assert np.array_equal(kernel(plan, v), expected)
         assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
-        assert np.array_equal(ifft(plan, expected, variant), v)
+    assert np.array_equal(ifft(plan, expected), v)
 
 
 def test_stage_entries_at_the_bound_stay_exact():
@@ -425,12 +433,11 @@ def test_stage_entries_at_the_bound_stay_exact():
         expected = dft_reference(p, omega, v)
         for kernel in kernels:
             assert kernel(plan, v).tolist() == expected, (radices, kernel.__name__)
-        # The inverse runs the same stages on v and scales their unreduced
+        # The inverse runs the twiddle stages on v and scales their unreduced
         # output by n^-1 before its one reduction: entries at the bound times
         # n^-1 come closest to 2^63 there.
         inverse = [expected[-j % n] * pow(n, -1, p) % p for j in range(n)]
-        for variant in ("recursive", "twiddle"):
-            assert ifft(plan, v, variant).tolist() == inverse, (radices, variant)
+        assert ifft(plan, v).tolist() == inverse, radices
         assert idft_naive(plan, v).tolist() == inverse, radices
 
 
@@ -519,11 +526,11 @@ def test_table_is_read_only_and_kernels_leave_plan_unchanged(p, n, radices):
         np.multiply(plan.twiddles, 2, out=plan.twiddles)
     before = plan_snapshot(plan)
     v = np.random.default_rng(25).integers(0, p, n)
-    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+    for kernel in (fft_recursive, fft_twiddle):
         kernel(plan, v, OpCounts())
         kernel(plan, v, raw_order=True)
-        ifft(plan, v, variant)
-        ifft(plan, v, variant, raw_order=True)
+    ifft(plan, v)
+    ifft(plan, v, raw_order=True)
     assert plan_snapshot(plan) == before
 
 
@@ -583,17 +590,16 @@ def test_oracle_peak_memory_is_two_vectors(p, n):
 def test_ifft_example(plan54):
     assert ifft(plan54, [0, 4, 3, 2]).tolist() == [1, 2, 3, 4]
     assert ifft(plan54, [0, 0, 0, 0]).tolist() == [0, 0, 0, 0]
+    with pytest.raises(TypeError):  # the inverse takes no variant
+        ifft(plan54, [0, 4, 3, 2], "twiddle")
 
 
 def test_round_trip_both_variants(plan9796):
     rng = np.random.default_rng(10)
-    for variant in ("recursive", "twiddle"):
+    for kernel in (fft_recursive, fft_twiddle):
         for _ in range(100):
             v = rng.integers(0, 97, 96)
-            fwd = (fft_recursive if variant == "recursive" else fft_twiddle)(
-                plan9796, v
-            )
-            assert np.array_equal(ifft(plan9796, fwd, variant), v)
+            assert np.array_equal(ifft(plan9796, kernel(plan9796, v)), v)
 
 
 def test_round_trip_radix_5_schedule():
@@ -602,8 +608,8 @@ def test_round_trip_radix_5_schedule():
     plan = plan_large(3840)
     assert max(plan.radices) == 5
     v = np.random.default_rng(27).integers(0, P_LARGE, plan.n)
-    for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
-        assert np.array_equal(ifft(plan, kernel(plan, v), variant), v)
+    for kernel in (fft_recursive, fft_twiddle):
+        assert np.array_equal(ifft(plan, kernel(plan, v)), v)
 
 
 def test_linearity(plan9796):
@@ -712,14 +718,6 @@ def test_predicted_counts_examples():
             radices = [3 if k in threes else 2 for k in range(v1 + v2)]
             assert predicted_counts(n, radices, "twiddle") == twiddle, radices
             assert predicted_counts(n, radices, "recursive") == recursive, radices
-
-
-def test_ifft_rejects_unknown_variant(plan9796):
-    # A length-1 plan runs no stage, so a check inside the per-stage rule
-    # would never reject the variant there.
-    for plan in (plan_transform(FieldParams(97), 1), plan9796):
-        with pytest.raises(ValueError, match="unknown variant"):
-            ifft(plan, np.zeros(plan.n, dtype=np.int64), "fast")
 
 
 def test_predicted_counts_converts_n():
