@@ -5,6 +5,13 @@ by exactly n lines, each one canonical decimal residue in [0, p).  Every
 line ends with a single linefeed and there are no trailing blank lines, so
 valid files round-trip byte-identically.
 
+`read_vector_file` checks the header field by field and the body in one
+vectorized pass over its bytes; the first bad line, if any, is then parsed
+on its own, so the error names that line as a line-by-line parser would.
+`write_vector_file` formats every entry in one vectorized pass and raises
+`NotReduced` unless the entries are integer residues in [0, p), so each file
+it writes reads back.
+
 Exit codes: 0 success, 2 malformed, unreadable or unwritable vector file,
 3 plan or parameter error.
 """
@@ -15,7 +22,7 @@ import sys
 import numpy as np
 
 from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchmark
-from .errors import BadRadices, InvalidField, VectorFileError
+from .errors import BadRadices, InvalidField, NotReduced, VectorFileError
 from .field import FieldParams
 from .numtheory import factorize, find_generator, prime_search
 from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle, ifft, plan_transform
@@ -33,40 +40,60 @@ _VARIANT_HELP = (
 
 
 def read_vector_file(path: str) -> tuple[int, list[int]]:
-    """Parse a vector file, returning (p, values). Raises VectorFileError."""
+    """Parse a vector file, returning (p, values). Raises VectorFileError.
+
+    The header is checked field by field.  The body is checked in one
+    vectorized pass over its bytes; the first bad line, if any, then goes
+    through the per-line check, which raises that line's message.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise VectorFileError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise VectorFileError(f"{path}: not ASCII text") from exc
-    if not text.endswith("\n"):
+    if not raw.isascii():
+        raise VectorFileError(f"{path}: not ASCII text")
+    if not raw.endswith(b"\n"):
         raise VectorFileError(f"{path}: missing trailing newline")
-    lines = text[:-1].split("\n")
-    header = lines[0].split(" ")
+    body = raw.index(b"\n") + 1
+    head = raw[: body - 1].decode("ascii")
+    header = head.split(" ")
     if len(header) != 4 or header[0] != _MAGIC or header[1] != _VERSION:
-        raise VectorFileError(f"{path}: bad header {lines[0]!r}")
+        raise VectorFileError(f"{path}: bad header {head!r}")
     p = _parse_decimal(header[2], path)
     n = _parse_decimal(header[3], path)
     try:
         FieldParams(p)
     except InvalidField as exc:
         raise VectorFileError(f"{path}: header {exc}") from exc
-    data = lines[1:]
-    if len(data) != n:
-        raise VectorFileError(
-            f"{path}: header declares {n} values, found {len(data)}"
-        )
-    values = []
-    for line in data:
+    buf = np.frombuffer(raw, np.uint8, offset=body)
+    ends = np.flatnonzero(buf == 10)
+    if len(ends) != n:
+        raise VectorFileError(f"{path}: header declares {n} values, found {len(ends)}")
+    lengths = np.diff(ends, prepend=-1) - 1
+    width = len(str(p - 1))
+    # A line is bad exactly when _parse_decimal rejects it or its value is
+    # >= p: it is empty, has more digits than p - 1, has a leading 0 before
+    # more digits, holds a byte outside 0-9, or is too large.  Digits are
+    # read from the last `width` bytes of each line, all of a line that is
+    # not already bad for its length.
+    bad = (lengths == 0) | (lengths > width)
+    bad |= (buf.take(ends - lengths, mode="clip") == 48) & (lengths > 1)
+    values = np.zeros(len(ends), np.int64)
+    for k in range(width, 0, -1):
+        digit = buf.take(ends - k, mode="clip") - 48  # uint8: wraps below "0"
+        digit *= lengths >= k  # bytes before the line start
+        bad |= digit > 9
+        values *= 10
+        values += digit
+    bad |= values >= p
+    if bad.any():
+        i = bad.argmax()
+        end = body + int(ends[i])
+        line = raw[end - int(lengths[i]) : end].decode("ascii")
         value = _parse_decimal(line, path)
-        if value >= p:
-            raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
-        values.append(value)
-    return p, values
+        raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
+    return p, values.tolist()
 
 
 def _parse_decimal(token: str, path: str) -> int:
@@ -79,12 +106,37 @@ def _parse_decimal(token: str, path: str) -> int:
 
 
 def write_vector_file(path: str, p: int, values) -> None:
-    """Write a vector file. Raises VectorFileError when the path cannot be written."""
-    lines = [f"{_MAGIC} {_VERSION} {p} {len(values)}"]
-    lines.extend(map(str, np.asarray(values).tolist()))
+    """Write a vector file in one vectorized pass over its decimal digits.
+
+    Raises NotReduced, before the file is opened, unless `values` is a 1-D
+    integer array or sequence of residues in [0, p), so every file written
+    reads back.  Raises VectorFileError when the path cannot be written.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+        raise NotReduced(f"vector must be 1-D integer residues, got {arr.dtype} shape {arr.shape}")
+    # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
+    if arr.size and (arr.min() < 0 or arr.max() >= p):
+        raise NotReduced(f"vector entries must be residues in [0, {p})")
+    width = len(str(p - 1))
+    # Row i holds entry i right-aligned in `width` digit columns and a final
+    # linefeed; `keep` drops the zeros left of its first significant digit.
+    rows = np.full((len(arr), width + 1), 10, np.uint8)
+    keep = np.ones(rows.shape, bool)
+    q = arr.astype(np.int64)
+    s = np.empty_like(q)
+    for j in range(width - 1, -1, -1):
+        np.greater(q, 0, out=keep[:, j])
+        np.floor_divide(q, 10, out=s)
+        q -= s * 10
+        q += 48
+        rows[:, j] = q
+        q, s = s, q
+    keep[:, width - 1] = True  # an entry of 0 still writes its units digit
+    data = f"{_MAGIC} {_VERSION} {p} {len(arr)}\n".encode("ascii") + rows[keep].tobytes()
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise VectorFileError(f"cannot write {path}: {exc}") from exc
 

@@ -5,11 +5,12 @@ import pytest
 
 import smoothntt.cli
 from smoothntt.cli import main, read_vector_file, write_vector_file
-from smoothntt.errors import VectorFileError
+from smoothntt.errors import InvalidField, NotReduced, VectorFileError
+from smoothntt.field import FieldParams
 
 
 def write_text(path, text):
-    path.write_bytes(text.encode("ascii"))
+    path.write_bytes(text.encode("latin-1"))
 
 
 def test_vector_file_round_trip(tmp_path):
@@ -26,43 +27,223 @@ def test_vector_file_round_trip(tmp_path):
 
 
 # Decimals past Python's 4300-digit int-from-str limit, in a value line and
-# in the header modulus.
+# in the header modulus, with the message each raises after "<path>: ".
 OVERSIZE = [
-    pytest.param("ntt-vec 1 5 1\n" + "1" * 5000 + "\n", id="oversize-value"),
-    pytest.param("ntt-vec 1 " + "1" * 5000 + " 1\n1\n", id="oversize-modulus"),
+    pytest.param(
+        "ntt-vec 1 5 1\n" + "1" * 5000 + "\n",
+        "5000-digit decimal is too long",
+        id="oversize-value",
+    ),
+    pytest.param(
+        "ntt-vec 1 " + "1" * 5000 + " 1\n1\n",
+        "5000-digit decimal is too long",
+        id="oversize-modulus",
+    ),
 ]
 
 # Prime header moduli outside the supported range (2, 2**31): the smallest
 # prime, the first prime past 2**31, and the 1332-digit Mersenne prime
 # 2**4423 - 1, which the range check rejects before any primality test.
 OUT_OF_RANGE = [
-    pytest.param("ntt-vec 1 2 1\n0\n", id="modulus-2"),
-    pytest.param("ntt-vec 1 2147483659 2\n0\n1\n", id="modulus-above-2**31"),
-    pytest.param(f"ntt-vec 1 {2**4423 - 1} 1\n0\n", id="modulus-mersenne-4423"),
+    pytest.param("ntt-vec 1 2 1\n0\n", "header modulus 2 outside (2, 2**31)", id="modulus-2"),
+    pytest.param(
+        "ntt-vec 1 2147483659 2\n0\n1\n",
+        "header modulus 2147483659 outside (2, 2**31)",
+        id="modulus-above-2**31",
+    ),
+    pytest.param(
+        f"ntt-vec 1 {2**4423 - 1} 1\n0\n",
+        f"header modulus {2**4423 - 1} outside (2, 2**31)",
+        id="modulus-mersenne-4423",
+    ),
 ]
 
 
+def malformed(content, message, id=None):
+    return pytest.param(content, message, id=content if id is None else id)
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, message",
     OVERSIZE
     + OUT_OF_RANGE
     + [
-        "ntt-vec 1 5 4\n1\n2\n3\n",  # fewer lines than declared
-        "ntt-vec 1 5 2\n1\n2\n3\n",  # more lines than declared
-        "ntt-vec 2 5 1\n1\n",  # unknown version
-        "ntt-vec 1 6 1\n1\n",  # modulus not prime
-        "ntt-vec 1 5 1\n7\n",  # value not reduced
-        "ntt-vec 1 5 1\n01\n",  # non-canonical decimal
-        "ntt-vec 1 5 1\n1",  # missing final newline
-        "ntt-vec 1 5 1\n1\n\n",  # trailing blank line
-        "vec 1 5 1\n1\n",  # bad magic
+        # fewer lines than declared
+        malformed("ntt-vec 1 5 4\n1\n2\n3\n", "header declares 4 values, found 3"),
+        # more lines than declared
+        malformed("ntt-vec 1 5 2\n1\n2\n3\n", "header declares 2 values, found 3"),
+        # unknown version
+        malformed("ntt-vec 2 5 1\n1\n", "bad header 'ntt-vec 2 5 1'"),
+        # modulus not prime
+        malformed("ntt-vec 1 6 1\n1\n", "header modulus 6 is not prime"),
+        # value not reduced
+        malformed("ntt-vec 1 5 1\n7\n", "value 7 not reduced modulo 5"),
+        # non-canonical decimal
+        malformed("ntt-vec 1 5 1\n01\n", "'01' is not a canonical decimal"),
+        # missing final newline
+        malformed("ntt-vec 1 5 1\n1", "missing trailing newline"),
+        # trailing blank line
+        malformed("ntt-vec 1 5 1\n1\n\n", "header declares 1 values, found 2"),
+        # bad magic
+        malformed("vec 1 5 1\n1\n", "bad header 'vec 1 5 1'"),
+        malformed("ntt-vec 1 5 1\n\xe9\n", "not ASCII text", id="non-ascii"),
+        malformed("ntt-vec 1 5 2\n1\n9\n", "value 9 not reduced modulo 5", id="valid-then-bad"),
+        # The first of two bad lines is the one reported.
+        malformed("ntt-vec 1 5 3\n1\n01\n7\n", "'01' is not a canonical decimal", id="two-bad"),
+        malformed("ntt-vec 1 5 3\n1\n7\n01\n", "value 7 not reduced modulo 5", id="two-bad-range-first"),
+        malformed("ntt-vec 1 5 2\r\n1\r\n2\r\n", "'2\\r' is not a canonical decimal", id="crlf"),
+        malformed("ntt-vec 1 5 2\n1\r\n2\r\n", "'1\\r' is not a canonical decimal", id="crlf-body"),
+        malformed("ntt-vec 1 97 1\n+5\n", "'+5' is not a canonical decimal", id="plus-sign"),
+        malformed("ntt-vec 1 97 1\n 5\n", "' 5' is not a canonical decimal", id="leading-space"),
+        malformed("ntt-vec 1 97 1\n12a\n", "'12a' is not a canonical decimal", id="trailing-letter"),
+        malformed("ntt-vec 1 5 3\n1\n\n2\n", "'' is not a canonical decimal", id="empty-middle-line"),
+        malformed("ntt-vec 1 97 2\n3\n97\n", "value 97 not reduced modulo 97", id="value-equals-p"),
+        malformed(
+            "ntt-vec 1 2013265921 2\n0\n2013265921\n",
+            "value 2013265921 not reduced modulo 2013265921",
+            id="10-digit-value-equals-p",
+        ),
+        malformed(
+            "ntt-vec 1 2013265921 1\n20132659210\n",
+            "value 20132659210 not reduced modulo 2013265921",
+            id="11-digit-value",
+        ),
     ],
 )
-def test_malformed_vector_files(tmp_path, content):
+def test_malformed_vector_files(tmp_path, content, message):
     path = tmp_path / "bad.txt"
     write_text(path, content)
-    with pytest.raises(VectorFileError):
+    with pytest.raises(VectorFileError) as info:
         read_vector_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_ten_digit_modulus_accepts_p_minus_1(tmp_path):
+    path = tmp_path / "v.txt"
+    write_text(path, "ntt-vec 1 2013265921 3\n0\n2013265920\n999999999\n")
+    assert read_vector_file(path) == (2013265921, [0, 2013265920, 999999999])
+
+
+def reference_read(path):
+    """The format read line by line in Python: the vectorized reader's oracle."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{path}: not ASCII text") from exc
+    if not text.endswith("\n"):
+        raise VectorFileError(f"{path}: missing trailing newline")
+    lines = text[:-1].split("\n")
+    header = lines[0].split(" ")
+    if len(header) != 4 or header[0] != "ntt-vec" or header[1] != "1":
+        raise VectorFileError(f"{path}: bad header {lines[0]!r}")
+    p = reference_decimal(header[2], path)
+    n = reference_decimal(header[3], path)
+    try:
+        FieldParams(p)
+    except InvalidField as exc:
+        raise VectorFileError(f"{path}: header {exc}") from exc
+    data = lines[1:]
+    if len(data) != n:
+        raise VectorFileError(f"{path}: header declares {n} values, found {len(data)}")
+    values = []
+    for line in data:
+        value = reference_decimal(line, path)
+        if value >= p:
+            raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
+        values.append(value)
+    return p, values
+
+
+def reference_decimal(token, path):
+    if not token.isdigit() or (len(token) > 1 and token[0] == "0"):
+        raise VectorFileError(f"{path}: {token!r} is not a canonical decimal")
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise VectorFileError(f"{path}: {len(token)}-digit decimal is too long") from exc
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except VectorFileError as exc:
+        return type(exc), str(exc)
+
+
+DIFF_MODULI = (5, 13, 97, 147457, 2013265921)
+MUTATION_BYTES = b"0123456789\n\r+-a_ "
+
+
+def residues_with_boundaries(rng, p, n):
+    """n random residues, then 0, p - 1 and each power-of-ten edge below p."""
+    edges = [0, p - 1]
+    power = 10
+    while power < p:
+        edges += [power - 1, power]
+        power *= 10
+    return [int(v) for v in rng.integers(0, p, n)] + edges
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_reader_matches_per_line_reference(tmp_path, p):
+    # Seeded byte replacements, insertions and deletions of valid files:
+    # each file gives the reference's (p, values) or its exception message.
+    rng = np.random.default_rng(p)
+    path = tmp_path / "v.txt"
+    for n in (0, 1, 2, 5, 12):
+        pool = residues_with_boundaries(rng, p, n)
+        values = [pool[i] for i in rng.integers(0, len(pool), n)]
+        valid = ("\n".join([f"ntt-vec 1 {p} {n}"] + [str(v) for v in values]) + "\n").encode()
+        path.write_bytes(valid)
+        assert outcome(read_vector_file, path) == (p, values)
+        for _ in range(160):
+            data = bytearray(valid)
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(0, len(data) + 1))
+                byte = MUTATION_BYTES[int(rng.integers(0, len(MUTATION_BYTES)))]
+                kind = int(rng.integers(0, 3))
+                if kind == 0 and at < len(data):
+                    data[at] = byte
+                elif kind == 1:
+                    data.insert(at, byte)
+                elif at < len(data):
+                    del data[at]
+            path.write_bytes(bytes(data))
+            assert outcome(read_vector_file, path) == outcome(reference_read, path), bytes(data)
+
+
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_writer_matches_str_join(tmp_path, p):
+    rng = np.random.default_rng(p + 1)
+    values = residues_with_boundaries(rng, p, 200)
+    expected = ("\n".join([f"ntt-vec 1 {p} {len(values)}"] + [str(v) for v in values]) + "\n").encode()
+    path = tmp_path / "v.txt"
+    for given in (values, np.array(values, dtype=np.int64), np.array(values, dtype=np.uint64)):
+        write_vector_file(path, p, given)
+        assert path.read_bytes() == expected
+    write_vector_file(path, p, [])
+    assert path.read_bytes() == f"ntt-vec 1 {p} 0\n".encode()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([7], id="unreduced"),
+        pytest.param([-1], id="negative"),
+        pytest.param([1.0], id="float"),
+        pytest.param(np.array([2**64 - 1], dtype=np.uint64), id="uint64-max"),
+        pytest.param([True], id="bool"),
+        pytest.param(np.array([[1, 2]]), id="two-dimensional"),
+    ],
+)
+def test_writer_rejects_non_residues(tmp_path, values):
+    # Written out, each of these would make a file that the reader rejects.
+    path = tmp_path / "v.txt"
+    with pytest.raises(NotReduced):
+        write_vector_file(path, 5, values)
+    assert not path.exists()
 
 
 def test_transform_example(tmp_path, capsys):
@@ -130,24 +311,24 @@ def test_transform_malformed_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-@pytest.mark.parametrize("content", OVERSIZE)
-def test_transform_oversize_decimal_exits_2(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, message", OVERSIZE)
+def test_transform_oversize_decimal_exits_2(tmp_path, capsys, content, message):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"
     write_text(src, content)
     assert main(["transform", str(src), str(dst)]) == 2
     assert not dst.exists()
-    assert capsys.readouterr().err.startswith(f"error: {src}: 5000-digit decimal")
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
 
-@pytest.mark.parametrize("content", OUT_OF_RANGE)
-def test_transform_modulus_out_of_range_exits_2(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, message", OUT_OF_RANGE)
+def test_transform_modulus_out_of_range_exits_2(tmp_path, capsys, content, message):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"
     write_text(src, content)
     assert main(["transform", str(src), str(dst)]) == 2
     assert not dst.exists()
-    assert "outside (2, 2**31)" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
 
 def test_transform_plan_error_exits_3(tmp_path, capsys):
