@@ -8,11 +8,15 @@ forward output) once per side, alternating which side runs first, and
 stops with an error unless the two outputs are bit-identical.
 Each field runs at its full length n = p - 1 on uniform residues seeded
 with p, with the base plan's omega and schedule on both sides.  `--fields`
-picks the primes (default F_472393, F_786433 and F_147457).  Prints one row
-per field and call: each side's median and quartiles in ms, the ratio of
+picks the primes (default F_472393, F_786433 and F_147457).  `--oracle`
+times `dft_naive` and `idft_naive` (on the forward output) instead, at the
+two sizes where the `subgroup_oracle` benchmark workload spends its numpy
+time: n = 2592 in F_629857 and n = 4608 in F_147457.  Prints one row per
+field and call: each side's median and quartiles in ms, the ratio of
 medians and the number of reps the change ran faster:
 
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --reps 21
+    python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --oracle --reps 11
 
 A checkout against itself is a noise floor: its ratios scatter around 1.
 """
@@ -26,7 +30,9 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_FIELDS = (472393, 786433, 147457)
-CALLS = ("fft_twiddle", "fft_recursive", "ifft")
+KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft")
+ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
+ORACLE_CALLS = ("dft_naive", "idft_naive")
 
 
 def load_package(checkout: str, name: str):
@@ -47,19 +53,25 @@ def timed(fn, *args) -> tuple[float, np.ndarray]:
     return (time.perf_counter_ns() - start) / 1e6, out
 
 
-def run_pairs(base, change, p: int, reps: int) -> dict[str, list]:
-    """Per call, `reps` (base_ms, change_ms) pairs on F_p at n = p - 1."""
-    base_plan = base.plan_transform(base.FieldParams(p), p - 1)
+def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
+    """Per call, `reps` (base_ms, change_ms) pairs on F_p at length n."""
+    base_plan = base.plan_transform(base.FieldParams(p), n)
     change_plan = change.plan_transform(
-        change.FieldParams(p), p - 1, omega=base_plan.omega, radices=base_plan.radices
+        change.FieldParams(p), n, omega=base_plan.omega, radices=base_plan.radices
     )
     sides = ((base, base_plan), (change, change_plan))
-    v = np.random.default_rng(p).integers(0, p, p - 1)
+    v = np.random.default_rng(p).integers(0, p, n)
     spectrum = base.fft_twiddle(base_plan, v)
-    inputs = {"fft_twiddle": v, "fft_recursive": v, "ifft": spectrum}
-    pairs = {call: [] for call in CALLS}
+    inputs = {
+        "fft_twiddle": v,
+        "fft_recursive": v,
+        "ifft": spectrum,
+        "dft_naive": v,
+        "idft_naive": spectrum,
+    }
+    pairs = {call: [] for call in calls}
     for rep in range(reps):
-        for call in CALLS:
+        for call in calls:
             order = (0, 1) if rep % 2 == 0 else (1, 0)
             ms, outs = [0.0, 0.0], [None, None]
             for side in order:
@@ -81,15 +93,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--reps", type=int, default=11)
-    parser.add_argument("--fields", type=int, nargs="+", default=DEFAULT_FIELDS)
+    sizes = parser.add_mutually_exclusive_group()
+    sizes.add_argument("--fields", type=int, nargs="+", default=DEFAULT_FIELDS)
+    sizes.add_argument("--oracle", action="store_true")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.oracle:
+        cases = [(p, n, ORACLE_CALLS) for p, n in ORACLE_SIZES]
+    else:
+        cases = [(p, p - 1, KERNEL_CALLS) for p in args.fields]
     base = load_package(args.base_dir, "smoothntt_base")
     change = load_package(args.change_dir, "smoothntt_change")
     print("field call base_ms_p50 [q1, q3] change_ms_p50 [q1, q3] ratio wins")
-    for p in args.fields:
-        for call, pairs in run_pairs(base, change, p, args.reps).items():
+    for p, n, calls in cases:
+        for call, pairs in run_pairs(base, change, p, n, calls, args.reps).items():
             b, c = zip(*pairs)
             wins = sum(cm < bm for bm, cm in pairs)
             ratio = np.median(c) / np.median(b)

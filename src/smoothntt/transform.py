@@ -81,16 +81,21 @@ the reduce-first pass writes a stage's input.
 All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
 
-The oracle `dft_naive` keeps no state and shares only the input check and
-the omega^k table with the kernels.  It reads the definition X_j = P(omega^j),
-P(z) = sum_i x_i z^i, and evaluates P at every omega^j at once by Horner's
-rule: one pass per coefficient, from x_{n-1} down to x_0, multiplies an
-accumulator vector by the full table, adds the coefficient and reduces.  The
-accumulator holds residues, so no intermediate reaches p^2 + p < 2**63 and
-the one path serves every p < 2**31.  Beyond the input copy it holds only
-that n-element accumulator.  `idft_naive` reads the same definition at index
--j mod n through the kernels' final scaling and reduction, with a fresh
-scratch array taken after the input copy is freed.
+The oracle `dft_naive` keeps no state and shares only the input check,
+the omega^k table and `_reduce` with the kernels.  It reads the definition
+X_j = P(omega^j), P(z) = sum_i x_i z^i, and evaluates P at every omega^j at
+once by Horner's rule: one pass per coefficient, from x_{n-1} down to x_0,
+multiplies an accumulator vector by the full table, adds the coefficient and
+reduces by floor division through one n-element scratch vector.  The
+accumulator holds residues, so every operand is nonnegative and below
+p^2 + p < 2**63, and the one path serves every p < 2**31.  It never writes
+its input, so it reads an int64 input without copying it and holds only the
+accumulator and the scratch; any other input costs one int64 conversion
+more.  `idft_naive` reads the same definition at index -j mod n through the
+kernels' final scaling and reduction, with a fresh scratch array taken after
+the oracle's own is freed.  The tests check the oracle against a Python-int
+evaluation of the definition, so sharing `_reduce` leaves it independently
+checked.
 """
 
 import math
@@ -284,6 +289,12 @@ def plan_transform(
 
 
 def _coerce_vector(v, n: int, p: int) -> np.ndarray:
+    """v as a checked length-n array of integer residues in [0, p).
+
+    Raises LengthMismatch or NotReduced.  It checks and does not copy: the
+    result may be v itself, in v's integer dtype, so a caller that writes
+    to it must copy it first.
+    """
     arr = np.asarray(v, dtype=None)
     if arr.ndim != 1 or len(arr) != n:
         raise LengthMismatch(f"expected a length-{n} vector, got shape {arr.shape}")
@@ -292,9 +303,7 @@ def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
     if arr.min() < 0 or arr.max() >= p:
         raise NotReduced(f"vector entries must be residues in [0, {p})")
-    # Always a private copy: the staged kernels use it as a working buffer
-    # and leave unreduced, possibly negative, entries in it.
-    return arr.astype(np.int64, copy=True)
+    return arr
 
 
 def _stage_rows(variant: str, r: int) -> int:
@@ -399,7 +408,10 @@ def _transform(
     raw_order: bool,
     inverse: bool = False,
 ) -> np.ndarray:
-    x, s = _run_stages(plan, _coerce_vector(v, plan.n, plan.p), variant, counter)
+    # Always a private copy: the staged kernels use it as a working buffer
+    # and leave unreduced, possibly negative, entries in it.
+    x = _coerce_vector(v, plan.n, plan.p).astype(np.int64, copy=True)
+    x, s = _run_stages(plan, x, variant, counter)
     x = _reduce_output(plan, x, s, inverse)
     del s  # the free buffer goes before the raw-order copy
     if raw_order:
@@ -444,14 +456,16 @@ def ifft(plan: TransformPlan, V, *, raw_order: bool = False) -> np.ndarray:
 def dft_naive(plan: TransformPlan, v) -> np.ndarray:
     """The O(n^2) transform straight from the definition; oracle for the FFTs."""
     p, n, table = plan.p, plan.n, plan.twiddles
-    x = _coerce_vector(v, n, p)
+    # Read only, so an int64 input is used as it is, without a copy.
+    x = _coerce_vector(v, n, p).astype(np.int64, copy=False)
     # Horner's rule for P(z) = sum_i x_i z^i at every z = omega^j at once.
     # acc stays a residue, so acc * omega^j + x_i < p^2 + p < 2**63.
     acc = np.zeros(n, dtype=np.int64)
+    s = np.empty(n, dtype=np.int64)
     for xi in x[::-1]:
         acc *= table
         acc += xi
-        acc %= p
+        _reduce(acc, p, s)
     return acc
 
 

@@ -269,6 +269,24 @@ def test_oracle_leaves_plan_unchanged(p, n):
     assert plan_snapshot(plan) == before
 
 
+@pytest.mark.parametrize("p, n", [(769, 768), (P_LARGE, 96)])
+def test_transforms_leave_their_input_alone(p, n):
+    # The oracle reads an int64 input without copying it and the kernels
+    # work in a private copy; neither may write the caller's array.
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+    v = np.random.default_rng(28).integers(0, p, n)
+    frozen = v.copy()
+    frozen.flags.writeable = False
+    arrays = [frozen, v.copy(), v.astype(np.int32), v.astype(np.uint64)]
+    before = [a.tobytes() for a in arrays]
+    for call in (dft_naive, idft_naive, fft_twiddle, fft_recursive, ifft):
+        first, *rest = [call(plan, a) for a in [*arrays, v.tolist()]]
+        assert first.dtype == np.int64
+        for out in rest:
+            assert out.dtype == np.int64 and np.array_equal(out, first), call.__name__
+        assert [a.tobytes() for a in arrays] == before, call.__name__
+
+
 # --- staged kernels ---------------------------------------------------------
 
 
@@ -582,6 +600,27 @@ def test_oracle_peak_memory_is_two_vectors(p, n):
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * n + 16 * 1024, (call.__name__, peak - 2 * 8 * n)
+
+
+@pytest.mark.parametrize("p, n", [(147457, 4608), (P_LARGE, 3840)])
+def test_oracle_peak_memory_for_a_converted_input(p, n):
+    # An int64 array is read in place; a list or an int32 array costs one
+    # int64 conversion beside the accumulator and the scratch vector.
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+    v = np.random.default_rng(26).integers(0, p, n)
+    for given in (v.tolist(), v.astype(np.int32)):
+        for call in (dft_naive, idft_naive):
+            tracemalloc.start()
+            try:
+                call(plan, given)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 8 * n + 16 * 1024, (
+                call.__name__,
+                type(given).__name__,
+                peak - 3 * 8 * n,
+            )
 
 
 # --- inverse ----------------------------------------------------------------
