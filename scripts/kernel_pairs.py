@@ -11,19 +11,26 @@ with p, with the base plan's omega and schedule on both sides.  `--fields`
 picks the primes (default F_472393, F_786433 and F_147457).  `--oracle`
 times `dft_naive` and `idft_naive` (on the forward output) instead, at the
 two sizes where the `subgroup_oracle` benchmark workload spends its numpy
-time: n = 2592 in F_629857 and n = 4608 in F_147457.  Prints one row per
-field and call: each side's median and quartiles in ms, the ratio of
+time: n = 2592 in F_629857 and n = 4608 in F_147457.  `--cli` times
+`cli.main(["transform", IN, FWD])` and `cli.main(["transform", FWD, BACK,
+"--inverse"])` on one F_147457 file of n = 147456 residues, the size of
+the `cli_file` benchmark workload, written once; it stops with an error
+unless both sides exit 0 and write byte-identical files.  Prints one row
+per field and call: each side's median and quartiles in ms, the ratio of
 medians and the number of reps the change ran faster:
 
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --reps 21
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --oracle --reps 11
+    python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --cli --reps 11
 
 A checkout against itself is a noise floor: its ratios scatter around 1.
 """
 
 import argparse
 import importlib.util
+import operator
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +40,8 @@ DEFAULT_FIELDS = (472393, 786433, 147457)
 KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft")
 ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
 ORACLE_CALLS = ("dft_naive", "idft_naive")
+CLI_SIZE = (147457, 147456)  # (p, n)
+CLI_CALLS = ("cli_forward", "cli_inverse")
 
 
 def load_package(checkout: str, name: str):
@@ -47,10 +56,29 @@ def load_package(checkout: str, name: str):
     return module
 
 
-def timed(fn, *args) -> tuple[float, np.ndarray]:
+def timed(fn, *args) -> tuple[float, object]:
     start = time.perf_counter_ns()
     out = fn(*args)
     return (time.perf_counter_ns() - start) / 1e6, out
+
+
+def interleave(calls, reps: int, p: int, run, same) -> dict[str, list]:
+    """Per call, `reps` (base_ms, change_ms) pairs from run(call, side).
+
+    run returns (ms, output); the side that runs first alternates by rep,
+    and the run stops unless same(base_output, change_output).
+    """
+    pairs = {call: [] for call in calls}
+    for rep in range(reps):
+        for call in calls:
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            ms, outs = [0.0, 0.0], [None, None]
+            for side in order:
+                ms[side], outs[side] = run(call, side)
+            if not same(outs[0], outs[1]):
+                raise SystemExit(f"error: {call} outputs differ on F_{p} (rep {rep})")
+            pairs[call].append(tuple(ms))
+    return pairs
 
 
 def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
@@ -69,18 +97,36 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
         "dft_naive": v,
         "idft_naive": spectrum,
     }
-    pairs = {call: [] for call in calls}
-    for rep in range(reps):
-        for call in calls:
-            order = (0, 1) if rep % 2 == 0 else (1, 0)
-            ms, outs = [0.0, 0.0], [None, None]
-            for side in order:
-                module, plan = sides[side]
-                ms[side], outs[side] = timed(getattr(module, call), plan, inputs[call])
-            if not np.array_equal(outs[0], outs[1]):
-                raise SystemExit(f"error: {call} outputs differ on F_{p} (rep {rep})")
-            pairs[call].append(tuple(ms))
-    return pairs
+
+    def run(call, side):
+        module, plan = sides[side]
+        return timed(getattr(module, call), plan, inputs[call])
+
+    return interleave(calls, reps, p, run, np.array_equal)
+
+
+def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
+    """Per call, `reps` (base_ms, change_ms) pairs of `transform` on one file."""
+    clis = [importlib.import_module(f"{module.__name__}.cli") for module in (base, change)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = str(Path(tmp) / "input.vec")
+        fwd = [str(Path(tmp) / f"forward{side}.vec") for side in (0, 1)]
+        back = [str(Path(tmp) / f"back{side}.vec") for side in (0, 1)]
+        clis[0].write_vector_file(src, p, np.random.default_rng(p).integers(0, p, n))
+        argvs = {
+            "cli_forward": [["transform", src, fwd[side]] for side in (0, 1)],
+            "cli_inverse": [["transform", fwd[side], back[side], "--inverse"] for side in (0, 1)],
+        }
+
+        def run(call, side):
+            argv = argvs[call][side]
+            Path(argv[2]).unlink(missing_ok=True)
+            ms, code = timed(clis[side].main, argv)
+            if code != 0:
+                raise SystemExit(f"error: {call} exited {code} on F_{p}")
+            return ms, Path(argv[2]).read_bytes()
+
+        return interleave(calls, reps, p, run, operator.eq)
 
 
 def quartiles(values) -> str:
@@ -96,18 +142,21 @@ def main(argv: list[str] | None = None) -> int:
     sizes = parser.add_mutually_exclusive_group()
     sizes.add_argument("--fields", type=int, nargs="+", default=DEFAULT_FIELDS)
     sizes.add_argument("--oracle", action="store_true")
+    sizes.add_argument("--cli", action="store_true")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     if args.oracle:
-        cases = [(p, n, ORACLE_CALLS) for p, n in ORACLE_SIZES]
+        cases = [(run_pairs, p, n, ORACLE_CALLS) for p, n in ORACLE_SIZES]
+    elif args.cli:
+        cases = [(run_cli_pairs, *CLI_SIZE, CLI_CALLS)]
     else:
-        cases = [(p, p - 1, KERNEL_CALLS) for p in args.fields]
+        cases = [(run_pairs, p, p - 1, KERNEL_CALLS) for p in args.fields]
     base = load_package(args.base_dir, "smoothntt_base")
     change = load_package(args.change_dir, "smoothntt_change")
     print("field call base_ms_p50 [q1, q3] change_ms_p50 [q1, q3] ratio wins")
-    for p, n, calls in cases:
-        for call, pairs in run_pairs(base, change, p, n, calls, args.reps).items():
+    for runner, p, n, calls in cases:
+        for call, pairs in runner(base, change, p, n, calls, args.reps).items():
             b, c = zip(*pairs)
             wins = sum(cm < bm for bm, cm in pairs)
             ratio = np.median(c) / np.median(b)

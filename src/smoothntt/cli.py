@@ -8,9 +8,11 @@ valid files round-trip byte-identically.
 `read_vector_file` checks the header field by field and the body in one
 vectorized pass over its bytes; the first bad line, if any, is then parsed
 on its own, so the error names that line as a line-by-line parser would.
+The values come back as the int64 array that body check built, and
+`transform` hands that array to the kernel unconverted.
 `write_vector_file` formats every entry in one vectorized pass and raises
-`NotReduced` unless the entries are integer residues in [0, p), so each file
-it writes reads back.
+`InvalidField` unless p is a supported prime modulus and `NotReduced` unless
+the entries are integer residues in [0, p), so each file it writes reads back.
 
 Exit codes: 0 success, 2 malformed, unreadable or unwritable vector file,
 3 plan or parameter error.
@@ -39,12 +41,13 @@ _VARIANT_HELP = (
 )
 
 
-def read_vector_file(path: str) -> tuple[int, list[int]]:
+def read_vector_file(path: str) -> tuple[int, np.ndarray]:
     """Parse a vector file, returning (p, values). Raises VectorFileError.
 
     The header is checked field by field.  The body is checked in one
     vectorized pass over its bytes; the first bad line, if any, then goes
-    through the per-line check, which raises that line's message.
+    through the per-line check, which raises that line's message.  `values`
+    is the 1-D int64 array of residues that pass built.
     """
     try:
         with open(path, "rb") as fh:
@@ -93,7 +96,7 @@ def read_vector_file(path: str) -> tuple[int, list[int]]:
         line = raw[end - int(lengths[i]) : end].decode("ascii")
         value = _parse_decimal(line, path)
         raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
-    return p, values.tolist()
+    return p, values
 
 
 def _parse_decimal(token: str, path: str) -> int:
@@ -108,10 +111,12 @@ def _parse_decimal(token: str, path: str) -> int:
 def write_vector_file(path: str, p: int, values) -> None:
     """Write a vector file in one vectorized pass over its decimal digits.
 
-    Raises NotReduced, before the file is opened, unless `values` is a 1-D
-    integer array or sequence of residues in [0, p), so every file written
-    reads back.  Raises VectorFileError when the path cannot be written.
+    Before the file is opened, raises InvalidField unless p is a prime in
+    (2, 2**31), and NotReduced unless `values` is a 1-D integer array or
+    sequence of residues in [0, p), so every file written reads back.
+    Raises VectorFileError when the path cannot be written.
     """
+    p = FieldParams(p).p
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
         raise NotReduced(f"vector must be 1-D integer residues, got {arr.dtype} shape {arr.shape}")

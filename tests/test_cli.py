@@ -7,6 +7,7 @@ import smoothntt.cli
 from smoothntt.cli import main, read_vector_file, write_vector_file
 from smoothntt.errors import InvalidField, NotReduced, VectorFileError
 from smoothntt.field import FieldParams
+from smoothntt.transform import fft_twiddle
 
 
 def write_text(path, text):
@@ -121,7 +122,7 @@ def test_malformed_vector_files(tmp_path, content, message):
 def test_ten_digit_modulus_accepts_p_minus_1(tmp_path):
     path = tmp_path / "v.txt"
     write_text(path, "ntt-vec 1 2013265921 3\n0\n2013265920\n999999999\n")
-    assert read_vector_file(path) == (2013265921, [0, 2013265920, 999999999])
+    assert outcome(read_vector_file, path) == (2013265921, [0, 2013265920, 999999999])
 
 
 def reference_read(path):
@@ -166,10 +167,15 @@ def reference_decimal(token, path):
 
 
 def outcome(read, path):
+    """(p, values as a list) from a read, or the error it raised."""
     try:
-        return read(path)
+        p, values = read(path)
     except VectorFileError as exc:
         return type(exc), str(exc)
+    if read is read_vector_file:  # the reference reads into a list
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1
+        values = values.tolist()
+    return p, values
 
 
 DIFF_MODULI = (5, 13, 97, 147457, 2013265921)
@@ -228,6 +234,22 @@ def test_writer_matches_str_join(tmp_path, p):
 
 
 @pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(4, id="composite"),
+        pytest.param(5.0, id="float"),
+        pytest.param(2**31 + 11, id="prime-above-2**31"),
+    ],
+)
+def test_writer_rejects_unsupported_modulus(tmp_path, p):
+    # The reader rejects each of these header moduli, so no file is written.
+    path = tmp_path / "v.txt"
+    with pytest.raises(InvalidField):
+        write_vector_file(path, p, [1, 2])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "values",
     [
         pytest.param([7], id="unreduced"),
@@ -252,7 +274,7 @@ def test_transform_example(tmp_path, capsys):
     write_vector_file(src, 5, [1, 2, 3, 4])
     code = main(["transform", str(src), str(dst), "--omega", "2"])
     assert code == 0
-    assert read_vector_file(dst) == (5, [0, 4, 3, 2])
+    assert outcome(read_vector_file, dst) == (5, [0, 4, 3, 2])
 
 
 def test_transform_round_trip(tmp_path):
@@ -288,18 +310,28 @@ def test_inverse_ignores_variant(tmp_path):
 
 def test_transform_reads_through_read_vector_file(tmp_path, monkeypatch):
     # `transform` reads its input once, through the public reader that
-    # perfbench spans as `cli.read_vector_file`, not through a private twin.
+    # perfbench spans as `cli.read_vector_file`, not through a private twin,
+    # and hands the reader's int64 array to the kernel unconverted.
     src = tmp_path / "in.txt"
     write_vector_file(src, 97, list(range(96)))
-    calls = []
+    calls, results, kernel_inputs = [], [], []
 
     def recording(path):
         calls.append(path)
-        return read_vector_file(path)
+        results.append(read_vector_file(path))
+        return results[-1]
+
+    def kernel(plan, values, **kwargs):
+        kernel_inputs.append(values)
+        return fft_twiddle(plan, values, **kwargs)
 
     monkeypatch.setattr(smoothntt.cli, "read_vector_file", recording)
+    monkeypatch.setattr(smoothntt.cli, "fft_twiddle", kernel)
     assert main(["transform", str(src), str(tmp_path / "out.txt")]) == 0
     assert calls == [str(src)]
+    (values,) = kernel_inputs
+    assert values is results[0][1]
+    assert isinstance(values, np.ndarray) and values.dtype == np.int64
 
 
 def test_transform_malformed_exits_2(tmp_path, capsys):

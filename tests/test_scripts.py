@@ -114,6 +114,15 @@ def test_kernel_pairs_times_the_oracle():
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
 
 
+def test_kernel_pairs_times_the_cli():
+    out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header[:3] == ["field", "call", "base_ms_p50"]
+    assert [row[:2] for row in rows] == [["F_147457", "cli_forward"], ["F_147457", "cli_inverse"]]
+    for row in rows:
+        assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
+
+
 def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
     shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
     with open(tmp_path / "src" / "smoothntt" / "transform.py", "a", encoding="utf-8") as f:

@@ -587,9 +587,10 @@ def test_kernel_peak_memory_is_two_vectors():
 
 @pytest.mark.parametrize("p, n", [(147457, 4608), (P_LARGE, 3840)])
 def test_oracle_peak_memory_is_two_vectors(p, n):
-    # The oracle owns the coerced copy of its input and one accumulator; each
-    # Horner pass works in place on contiguous arrays, so no ufunc buffers.
-    # idft_naive takes its scratch array only after that copy is freed.
+    # The oracle holds one accumulator and one scratch vector, and it reads
+    # this int64 input without copying it; each Horner pass works in place on
+    # contiguous arrays, so no ufunc buffers.  idft_naive takes its scratch
+    # array only after the oracle's own is freed.
     plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
     v = np.random.default_rng(26).integers(0, p, n)
     for call in (dft_naive, idft_naive):
