@@ -3,7 +3,8 @@
 
 Loads `smoothntt` from BASE_DIR/src and CHANGE_DIR/src under distinct
 module names, so both run in one process on the same inputs.  For every
-field and rep it times `fft_twiddle`, `fft_recursive` and `ifft` (on the
+field and rep it times `fft_twiddle`, `fft_recursive`, `ifft` (on the
+forward output) and `cyclic_convolve_via_fft` (of the input with its
 forward output) once per side, alternating which side runs first, and
 stops with an error unless the two outputs are bit-identical.
 Each field runs at its full length n = p - 1 on uniform residues seeded
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_FIELDS = (472393, 786433, 147457)
-KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft")
+KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft", "cyclic_convolve_via_fft")
 ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
 ORACLE_CALLS = ("dft_naive", "idft_naive")
 CLI_SIZE = (147457, 147456)  # (p, n)
@@ -91,16 +92,17 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
     v = np.random.default_rng(p).integers(0, p, n)
     spectrum = base.fft_twiddle(base_plan, v)
     inputs = {
-        "fft_twiddle": v,
-        "fft_recursive": v,
-        "ifft": spectrum,
-        "dft_naive": v,
-        "idft_naive": spectrum,
+        "fft_twiddle": (v,),
+        "fft_recursive": (v,),
+        "ifft": (spectrum,),
+        "cyclic_convolve_via_fft": (v, spectrum),
+        "dft_naive": (v,),
+        "idft_naive": (spectrum,),
     }
 
     def run(call, side):
         module, plan = sides[side]
-        return timed(getattr(module, call), plan, inputs[call])
+        return timed(getattr(module, call), plan, *inputs[call])
 
     return interleave(calls, reps, p, run, np.array_equal)
 

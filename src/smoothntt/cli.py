@@ -12,7 +12,10 @@ The values come back as the int64 array that body check built, and
 `transform` hands that array to the kernel unconverted.
 `write_vector_file` formats every entry in one vectorized pass and raises
 `InvalidField` unless p is a supported prime modulus and `NotReduced` unless
-the entries are integer residues in [0, p), so each file it writes reads back.
+the entries are a 1-D vector of integer residues in [0, p), so each file it
+writes reads back.  The residue check is the kernels' own
+(`transform._coerce_vector`); the writer adds only the 1-D test, which keeps
+a 2-D array a `NotReduced` error, and the empty case.
 
 Exit codes: 0 success, 2 malformed, unreadable or unwritable vector file,
 3 plan or parameter error.
@@ -27,7 +30,7 @@ from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchm
 from .errors import BadRadices, InvalidField, NotReduced, VectorFileError
 from .field import FieldParams
 from .numtheory import factorize, find_generator, prime_search
-from .transform import RECURSIVE, TWIDDLE, VARIANTS, fft_recursive, fft_twiddle, ifft, plan_transform
+from .transform import RECURSIVE, TWIDDLE, VARIANTS, _coerce_vector, fft_recursive, fft_twiddle, ifft, plan_transform
 
 _MAGIC = "ntt-vec"
 _VERSION = "1"
@@ -113,16 +116,17 @@ def write_vector_file(path: str, p: int, values) -> None:
 
     Before the file is opened, raises InvalidField unless p is a prime in
     (2, 2**31), and NotReduced unless `values` is a 1-D integer array or
-    sequence of residues in [0, p), so every file written reads back.
+    sequence of residues in [0, p), so every file written reads back.  That
+    NotReduced comes from the kernels' check, `transform._coerce_vector`,
+    for every non-empty 1-D input; an empty sequence writes an n = 0 file.
     Raises VectorFileError when the path cannot be written.
     """
     p = FieldParams(p).p
     arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+    if arr.ndim != 1:
         raise NotReduced(f"vector must be 1-D integer residues, got {arr.dtype} shape {arr.shape}")
-    # Checked in the input dtype, so uint64 entries >= 2**63 cannot wrap first.
-    if arr.size and (arr.min() < 0 or arr.max() >= p):
-        raise NotReduced(f"vector entries must be residues in [0, {p})")
+    if len(arr):  # [] is float64 to numpy, yet it writes an n = 0 file
+        _coerce_vector(arr, len(arr), p)
     width = len(str(p - 1))
     # Row i holds entry i right-aligned in `width` digit columns and a final
     # linefeed; `keep` drops the zeros left of its first significant digit.

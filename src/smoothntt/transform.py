@@ -76,7 +76,12 @@ largest radices first puts every h = r stage before that row.
 A stage reads only X, e1 and omega^0 and writes only Y, through `out=`
 ufuncs and in-place operators, so each kernel call owns two n-element
 int64 buffers, the private copy of its input and the stage output; only
-the reduce-first pass writes a stage's input.
+the reduce-first pass writes a stage's input.  `cyclic_convolve_via_fft`
+peaks at three n-element buffers: its second forward call holds U beside
+its own two, and its inverse runs on the product it owns in U, with V as
+the reduction scratch and one stage output, through `_run_stages` and
+`_reduce_output` directly, so the product is neither checked nor copied
+again.
 
 All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
@@ -291,9 +296,10 @@ def plan_transform(
 def _coerce_vector(v, n: int, p: int) -> np.ndarray:
     """v as a checked length-n array of integer residues in [0, p).
 
-    Raises LengthMismatch or NotReduced.  It checks and does not copy: the
-    result may be v itself, in v's integer dtype, so a caller that writes
-    to it must copy it first.
+    The one residue-vector check of the package: the kernels, the oracle and
+    `cli.write_vector_file` call it.  Raises LengthMismatch or NotReduced.
+    It checks and does not copy: the result may be v itself, in v's integer
+    dtype, so a caller that writes to it must copy it first.
     """
     arr = np.asarray(v, dtype=None)
     if arr.ndim != 1 or len(arr) != n:
@@ -505,4 +511,6 @@ def cyclic_convolve_via_fft(plan: TransformPlan, u, v) -> np.ndarray:
     V = fft_twiddle(plan, v)
     U *= V  # residues, so every product is below p^2 < 2**63
     _reduce(U, plan.p, V)
-    return ifft(plan, U)
+    # U holds residues it owns, the kernel's entry condition, so the inverse
+    # stages run on U itself: no second check and no copy.
+    return _reduce_output(plan, *_run_stages(plan, U, TWIDDLE, None), inverse=True)

@@ -23,7 +23,7 @@ def test_vector_file_round_trip(tmp_path):
     write_vector_file(path, p, values)
     assert path.read_bytes() == original
     # The kernels' int64 output writes the same bytes as a list.
-    write_vector_file(path, p, np.array(values, dtype=np.int64))
+    write_vector_file(path, p, values.tolist())
     assert path.read_bytes() == original
 
 

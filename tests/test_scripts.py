@@ -93,6 +93,7 @@ def test_kernel_pairs_runs_a_checkout_against_itself():
         ["F_3457", "fft_twiddle"],
         ["F_3457", "fft_recursive"],
         ["F_3457", "ifft"],
+        ["F_3457", "cyclic_convolve_via_fft"],
     ]
     for row in rows:
         wins, reps = row[-1].split("/")

@@ -585,6 +585,28 @@ def test_kernel_peak_memory_is_two_vectors():
             assert np.array_equal(v, original)
 
 
+def test_convolution_peak_memory_is_three_vectors():
+    # The second forward call holds the first spectrum U beside its own two
+    # buffers.  The inverse then runs on U itself, with V as the reduction
+    # scratch and one stage output, so nothing copies U again; the same
+    # iterator-buffer slack as the kernel test applies.
+    p = 147457
+    plan = plan_transform(FieldParams(p), p - 1)
+    n = plan.n
+    rng = np.random.default_rng(27)
+    u = rng.integers(0, p, n)
+    v = rng.integers(0, p, n)
+    originals = (u.copy(), v.copy())
+    tracemalloc.start()
+    try:
+        cyclic_convolve_via_fft(plan, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + 8 * np.getbufsize() + 16 * 1024, peak / (8 * n)
+    assert np.array_equal(u, originals[0]) and np.array_equal(v, originals[1])
+
+
 @pytest.mark.parametrize("p, n", [(147457, 4608), (P_LARGE, 3840)])
 def test_oracle_peak_memory_is_two_vectors(p, n):
     # The oracle holds one accumulator and one scratch vector, and it reads
