@@ -39,7 +39,7 @@ def main() -> None:
     if args.format == "csv":
         print(CSV_HEADER)
     for p, n, variant in configs:
-        show(run_benchmark(FieldParams(p), n, variant=variant, trials=5))
+        show(run_benchmark(FieldParams(p), n, variant=variant))
 
     if not args.skip_wall_clock:
         report = run_benchmark(
@@ -47,7 +47,6 @@ def main() -> None:
             36864,
             variant="twiddle",
             measure_naive_up_to=36864,
-            trials=5,
         )
         show(report)
 

@@ -2,9 +2,10 @@
 
 Ratios against the n^2-multiplication direct transform are exact rationals
 derived from the closed-form counts; wall clock uses a monotonic nanosecond
-timer with the median over a fixed number of trials on pre-generated seeded
-inputs.  The direct transform is only timed up to a size cutoff; above it
-the analytic counts alone tell the story.
+timer with the median over a fixed number of trials on one seeded input,
+which neither the kernels nor the direct transform write.  The direct
+transform is only timed up to a size cutoff; above it the analytic counts
+alone tell the story.
 
 One table, `_CSV_COLUMNS`, defines the CSV layout: each column's name sits
 beside the cell it renders from a report, so `CSV_HEADER` and every row
@@ -59,10 +60,10 @@ class BenchReport:
     wall_clock_naive_ns: int | None
 
 
-def _median_ns(fn, plan: TransformPlan, vectors: list[np.ndarray]) -> int:
-    """Median wall clock of fn(plan, v) over the vectors, in nanoseconds."""
+def _median_ns(fn, plan: TransformPlan, v: np.ndarray, trials: int) -> int:
+    """Median wall clock of `trials` runs of fn(plan, v), in nanoseconds."""
     samples = []
-    for v in vectors:
+    for _ in range(trials):
         t0 = time.perf_counter_ns()
         fn(plan, v)
         samples.append(time.perf_counter_ns() - t0)
@@ -86,7 +87,9 @@ def run_benchmark(
     """Run one instrumented and timed configuration.
 
     One counted run pins measured == predicted (hard failure otherwise);
-    `trials` timed runs per kernel give the median wall clock.  The direct
+    the median of `trials` timed runs gives each wall clock.  Every run
+    reads the same seeded input, which neither the kernel nor the direct
+    transform writes, so memory does not grow with `trials`.  The direct
     transform is timed only when n <= measure_naive_up_to.  Raises
     ValueError, before any planning, unless trials >= 1 and variant is
     one of VARIANTS; a non-integer `trials` raises TypeError there too.
@@ -100,13 +103,9 @@ def run_benchmark(
     kernel = fft_recursive if variant == RECURSIVE else fft_twiddle
     predicted = predicted_counts(plan.n, plan.radices, variant)
 
-    rng = np.random.default_rng(_INPUT_SEED)
-    vectors = [
-        rng.integers(0, params.p, plan.n, dtype=np.int64) for _ in range(trials)
-    ]
-
+    v = np.random.default_rng(_INPUT_SEED).integers(0, params.p, plan.n, dtype=np.int64)
     measured = OpCounts()
-    kernel(plan, vectors[0], measured)
+    kernel(plan, v, measured)
     if measured != predicted:
         raise CountMismatch(
             f"measured {measured} != predicted {predicted} "
@@ -126,8 +125,8 @@ def run_benchmark(
         naive_adds=naive_adds,
         mult_ratio=_ratio(naive_mults, predicted.multiplications),
         add_ratio=_ratio(naive_adds, predicted.additions),
-        wall_clock_fft_ns=_median_ns(kernel, plan, vectors),
-        wall_clock_naive_ns=_median_ns(dft_naive, plan, vectors)
+        wall_clock_fft_ns=_median_ns(kernel, plan, v, trials),
+        wall_clock_naive_ns=_median_ns(dft_naive, plan, v, trials)
         if plan.n <= measure_naive_up_to
         else None,
     )

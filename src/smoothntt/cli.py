@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, help="transform length (default p-1)")
     b.add_argument("--radices", help=_RADICES_HELP)
     b.add_argument("--variant", choices=VARIANTS, default=TWIDDLE)
-    b.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    b.add_argument("--naive-cutoff", type=int, default=DEFAULT_NAIVE_CUTOFF)
+    b.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="timed runs of one input; the median is reported")
+    b.add_argument("--naive-cutoff", type=int, default=DEFAULT_NAIVE_CUTOFF, help="largest n at which the direct transform is timed")
     b.add_argument("--format", choices=("human", "csv"), default="human")
     b.set_defaults(func=cmd_bench)
     return parser

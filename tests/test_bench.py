@@ -2,10 +2,13 @@
 
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import smoothntt.bench
 from smoothntt.bench import (
     CSV_HEADER,
     emit_report,
@@ -13,6 +16,7 @@ from smoothntt.bench import (
     run_benchmark,
 )
 from smoothntt.field import FieldParams
+from smoothntt.transform import fft_twiddle
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,38 @@ def test_radices_column_format(tiny_report):
     # the radix schedule cell must not smuggle in extra CSV separators
     assert re.fullmatch(r"[0-9*]+", cells[2])
     assert cells[2] == "2*2"
+
+
+def test_peak_memory_does_not_grow_with_trials():
+    # The plan's table, one input and the kernel's two buffers: 4·8n, or
+    # 4.7·8n when this is the process's first seeded draw.  One input vector
+    # per trial would add 8n each, 19·8n more at 20 trials.
+    p = 147457
+    n = p - 1
+    tracemalloc.start()
+    try:
+        run_benchmark(FieldParams(p), n, trials=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n, peak / (8 * n)
+
+
+def test_every_run_reads_the_one_seeded_input(monkeypatch):
+    # The counted run and each timed run get the seed's first draw.
+    p, n, trials = 97, 96, 4
+    seen = []
+
+    def recording(plan, v, *args):
+        seen.append(v.copy())
+        return fft_twiddle(plan, v, *args)
+
+    monkeypatch.setattr(smoothntt.bench, "fft_twiddle", recording)
+    run_benchmark(FieldParams(p), n, trials=trials)
+    expected = np.random.default_rng(0x5EED).integers(0, p, n, dtype=np.int64)
+    assert len(seen) == 1 + trials
+    for v in seen:
+        assert np.array_equal(v, expected)
 
 
 @pytest.mark.parametrize("trials", [0, -2])

@@ -37,6 +37,22 @@ def test_reproduce_speedups_csv_is_one_table():
     ]
 
 
+def test_print_prime_table_lists_the_acceptance_table():
+    from test_acceptance import PRIME_TABLE
+
+    header, *lines = run_script("print_prime_table.py").splitlines()
+    assert header.split() == ["prime", "p", "p-1", "generator"]
+    assert [line.split() for line in lines[:15]] == [
+        [str(p), "*".join(f"{q}^{e}" if e > 1 else str(q) for q, e in factors), str(g)]
+        for p, factors, g in PRIME_TABLE
+    ]
+    assert [line.strip() for line in lines[15:]] == [
+        "",
+        "113246209  2^22*3^3",
+        "725594113  2^12*3^11",
+    ]
+
+
 def test_output_digest_small_grid_is_pinned():
     out = run_script("output_digest.py", "--small")
     rows = [line.split() for line in out.splitlines()[1:]]
