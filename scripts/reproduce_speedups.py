@@ -18,7 +18,7 @@ def main() -> None:
     parser.add_argument(
         "--skip-wall-clock",
         action="store_true",
-        help="skip the timed direct-transform comparison (saves ~1 minute)",
+        help="skip the F_147457, n = 36864 report, the one that times the direct transform",
     )
     parser.add_argument("--format", choices=("human", "csv"), default="human")
     args = parser.parse_args()

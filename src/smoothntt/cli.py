@@ -17,8 +17,11 @@ writes reads back.  The residue check is the kernels' own
 (`transform._coerce_vector`); the writer adds only the 1-D test, which keeps
 a 2-D array a `NotReduced` error, and the empty case.
 
+`transform` runs `fft_twiddle` forward and `ifft` with --inverse.
+
 Exit codes: 0 success, 2 malformed, unreadable or unwritable vector file,
-3 plan or parameter error.
+3 plan or parameter error.  argparse usage errors also exit 2; an unknown
+option, such as the removed `transform --variant`, is one.
 """
 
 import argparse
@@ -30,7 +33,7 @@ from .bench import DEFAULT_NAIVE_CUTOFF, DEFAULT_TRIALS, emit_report, run_benchm
 from .errors import BadRadices, InvalidField, NotReduced, VectorFileError
 from .field import FieldParams
 from .numtheory import factorize, find_generator, prime_search
-from .transform import RECURSIVE, TWIDDLE, VARIANTS, _coerce_vector, fft_recursive, fft_twiddle, ifft, plan_transform
+from .transform import TWIDDLE, VARIANTS, _coerce_vector, fft_twiddle, ifft, plan_transform
 
 _MAGIC = "ntt-vec"
 _VERSION = "1"
@@ -39,8 +42,8 @@ _RADICES_HELP = (
     " and the stage set; the stages run largest radix first"
 )
 _VARIANT_HELP = (
-    "forward kernel; both variants write the same bytes, and --inverse"
-    " always runs the twiddle kernel"
+    "kernel whose operations are counted and timed; both variants compute"
+    " the same transform"
 )
 
 
@@ -161,13 +164,8 @@ def cmd_transform(args: argparse.Namespace) -> None:
     p, values = read_vector_file(args.input)
     radices = _parse_radices(args.radices) if args.radices else None
     plan = plan_transform(FieldParams(p), len(values), omega=args.omega, radices=radices)
-    if args.inverse:
-        out = ifft(plan, values, raw_order=args.raw_order)
-    elif args.variant == RECURSIVE:
-        out = fft_recursive(plan, values, raw_order=args.raw_order)
-    else:
-        out = fft_twiddle(plan, values, raw_order=args.raw_order)
-    write_vector_file(args.output, p, out)
+    kernel = ifft if args.inverse else fft_twiddle
+    write_vector_file(args.output, p, kernel(plan, values, raw_order=args.raw_order))
 
 
 def cmd_generator(args: argparse.Namespace) -> None:
@@ -209,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("input", help="input vector file")
     t.add_argument("output", help="output vector file")
     t.add_argument("--inverse", action="store_true", help="apply the inverse transform")
-    t.add_argument("--variant", choices=VARIANTS, default=TWIDDLE, help=_VARIANT_HELP)
     t.add_argument("--radices", help=_RADICES_HELP)
     t.add_argument("--omega", type=int, help="order-n root of unity to use")
     t.add_argument(
@@ -223,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generator)
 
     pr = sub.add_parser("primes", help="primes in (min, max) with smooth p-1")
-    pr.add_argument("--min", type=int, required=True)
-    pr.add_argument("--max", type=int, required=True)
+    pr.add_argument("--min", type=int, required=True, help="exclusive lower bound on p")
+    pr.add_argument("--max", type=int, required=True, help="exclusive upper bound on p")
     pr.add_argument("--factors", default="2,3", help="allowed prime factors of p-1")
     pr.set_defaults(func=cmd_primes)
 
@@ -232,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("p", type=int, help="prime modulus")
     b.add_argument("--n", type=int, help="transform length (default p-1)")
     b.add_argument("--radices", help=_RADICES_HELP)
-    b.add_argument("--variant", choices=VARIANTS, default=TWIDDLE)
+    b.add_argument("--variant", choices=VARIANTS, default=TWIDDLE, help=_VARIANT_HELP)
     b.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="timed runs of one input; the median is reported")
     b.add_argument("--naive-cutoff", type=int, default=DEFAULT_NAIVE_CUTOFF, help="largest n at which the direct transform is timed")
-    b.add_argument("--format", choices=("human", "csv"), default="human")
+    b.add_argument("--format", choices=("human", "csv"), default="human", help="human-readable lines, or a CSV header and one row")
     b.set_defaults(func=cmd_bench)
     return parser
 

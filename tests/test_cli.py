@@ -1,13 +1,15 @@
 """CLI behavior: exit codes, vector file round trips, golden outputs."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 import smoothntt.cli
-from smoothntt.cli import main, read_vector_file, write_vector_file
+from smoothntt.cli import build_parser, main, read_vector_file, write_vector_file
 from smoothntt.errors import InvalidField, NotReduced, VectorFileError
 from smoothntt.field import FieldParams
-from smoothntt.transform import fft_twiddle
+from smoothntt.transform import fft_twiddle, ifft, plan_transform
 
 
 def write_text(path, text):
@@ -287,25 +289,17 @@ def test_transform_round_trip(tmp_path):
     assert back.read_bytes() == src.read_bytes()
 
 
-def test_transform_variants_agree(tmp_path):
+def test_transform_rejects_variant(tmp_path, capsys):
+    # Both forward kernels write the same bytes, so `transform` has no
+    # --variant; argparse rejects it as an unknown option.
     src = tmp_path / "in.txt"
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
+    dst = tmp_path / "out.txt"
     write_vector_file(src, 13, [5, 1, 12, 0, 3, 3, 7, 9, 11, 2, 6, 10])
-    assert main(["transform", str(src), str(a), "--variant", "recursive"]) == 0
-    assert main(["transform", str(src), str(b), "--variant", "twiddle"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_inverse_ignores_variant(tmp_path):
-    # --variant picks the forward kernel only; the inverse has one path.
-    src = tmp_path / "in.txt"
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    write_vector_file(src, 13, [5, 1, 12, 0, 3, 3, 7, 9, 11, 2, 6, 10])
-    assert main(["transform", str(src), str(a), "--inverse", "--variant", "recursive"]) == 0
-    assert main(["transform", str(src), str(b), "--inverse"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", str(src), str(dst), "--variant", "recursive"])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 def test_transform_reads_through_read_vector_file(tmp_path, monkeypatch):
@@ -403,6 +397,25 @@ def test_transform_raw_order(tmp_path):
     _, nat_vals = read_vector_file(nat)
     _, raw_vals = read_vector_file(raw)
     assert sorted(nat_vals) == sorted(raw_vals)
+    # Exact bytes, forward and inverse, against the kernels on one schedule.
+    plan = plan_transform(FieldParams(13), 12, radices=[3, 2, 2])
+    spec = tmp_path / "spec.txt"
+    want = tmp_path / "want.txt"
+    write_vector_file(spec, 13, [4, 0, 9, 2, 11, 7, 1, 6, 12, 3, 8, 5])
+    for kernel, path, inverse in ((fft_twiddle, src, []), (ifft, spec, ["--inverse"])):
+        _, values = read_vector_file(path)
+        write_vector_file(want, 13, kernel(plan, values, raw_order=True))
+        argv = ["transform", str(path), str(raw), "--radices", "3,2,2", "--raw-order"]
+        assert main(argv + inverse) == 0
+        assert raw.read_bytes() == want.read_bytes()
+
+
+def test_every_option_has_help():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.help, f"{name} {action.dest} has no help"
 
 
 def test_generator_golden(capsys):
