@@ -83,6 +83,33 @@ the reduction scratch and one stage output, through `_run_stages` and
 `_reduce_output` directly, so the product is neither checked nor copied
 again.
 
+numpy releases the GIL inside a ufunc, so a second core can run half of
+each stage (the threaded loops of Frigo and Johnson's FFTW3, Proc. IEEE,
+2005).  For n >= 2**17, when the process may run on two or more CPUs
+(`os.sched_getaffinity`; n is tested first, so a small transform makes no
+syscall), every stage is split into two disjoint halves:
+- a stage with L >= 2 splits its rows l0: X[:a], Y[:, :a] and e1[:, :a]
+  with a = L // 2, and the rest;
+- the first stage (L = 1) splits its columns: X[..., :a] and Y[..., :a]
+  with a = m // 2, and the rest, both reading all of e1;
+- the reduce-first pass splits x[:n//2] and y[:n//2] from the rest.
+Each half is the same Horner stage, `_stage`, on views: it writes only its
+own part of Y and reads only its own part of X, so the halves never touch
+the same element.  The caller hands the second half to one persistent
+daemon worker thread, runs the first and waits for both; an exception in
+either half is raised in the caller.  The bound B and the counters are
+kept by the caller, per whole stage, exactly as before, so the outputs are
+bit-identical and the counts unchanged.  Below 2**17, or on one CPU, each
+stage runs whole in the caller: at n = 2**16 (F_65537, numpy 2.4.6,
+2-core x86-64 host) split stages made `fft_twiddle` 1.15x and `ifft`
+1.17x slower.  The worker sets its numpy buffer size to 256 elements, so
+the iterator buffer its strided ufuncs hold is 2 KiB, not 64 KiB: at
+n = 147456 a split call peaks about 4 KiB above a whole one, where 64 KiB
+would pass the peak bounds of the tests.  The worker drops its references
+to a job's views before it signals that the job is done, so no buffer
+outlives the call that owns it.  Callers in several threads share the one
+worker; each job carries its own reply queue.
+
 All kernels run on int64 numpy arrays; inputs must be residues in [0, p)
 and p < 2**31.
 
@@ -91,9 +118,14 @@ the omega^k table and `_reduce` with the kernels.  It reads the definition
 X_j = P(omega^j), P(z) = sum_i x_i z^i, and evaluates P at every omega^j at
 once by Horner's rule: one pass per coefficient, from x_{n-1} down to x_0,
 multiplies an accumulator vector by the full table, adds the coefficient and
-reduces by floor division through one n-element scratch vector.  The
-accumulator holds residues, so every operand is nonnegative and below
-p^2 + p < 2**63, and the one path serves every p < 2**31.  It never writes
+reduces lazily, by floor division through one n-element scratch vector.
+Every operand is nonnegative, and the oracle tracks one exclusive bound B on
+the accumulator: B = 1 for the zero vector, and a pass maps entries below B
+to at most (B - 1)(p - 1) + (p - 1) = B(p - 1), so to below B(p - 1) + 1.
+It reduces before a pass only when B(p - 1) could reach 2**63, restarting
+at B = p, and once at the end.  Since p(p - 1) < 2**63 for p < 2**31, the
+one path serves every field: below p = 2**21 it reduces at most every
+other pass, near 2**31 on every pass.  It never writes
 its input, so it reads an int64 input without copying it and holds only the
 accumulator and the scratch; any other input costs one int64 conversion
 more.  `idft_naive` reads the same definition at index -j mod n through the
@@ -105,6 +137,9 @@ checked.
 
 import math
 import operator
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +367,8 @@ def _run_stages(
     """The unreduced stage output, |entry| * p < 2**63, and the free buffer."""
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
+    # Split each stage in two above 2**17 on two or more CPUs (module docstring).
+    split = n >= 2**17 and _cores() >= 2
     bound = p  # exclusive bound on |entry| of x; the input holds residues
     L = 1
     # Largest radix first: every h = r stage then reads nonnegative entries,
@@ -340,7 +377,10 @@ def _run_stages(
     for r in sorted(plan.radices, reverse=True):
         # The stage's products stay below (bound + p) * p; past int64, reduce first.
         if (bound + p) * p >= 2**63:
-            _reduce(x, p, y)
+            if split:
+                _in_two(_reduce, (x[: n // 2], p, y[: n // 2]), (x[n // 2 :], p, y[n // 2 :]))
+            else:
+                _reduce(x, p, y)
             bound = p
         m = n // (L * r)
         X = x.reshape(L, r, m)
@@ -348,25 +388,16 @@ def _run_stages(
         # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
         # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
-        # Horner's rule on the first h rows, one row at a time, seeded with
-        # the top leg times omega^0 as the counts assume.  A twiddle radix-2
-        # stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
-        # e1[1] = -e1[0].
         h = _stage_rows(variant, r)
-        for l1 in range(h):
-            Z = Y[l1]
-            np.multiply(X[:, r - 1, :], table[0], out=Z)
-            for j in range(r - 2, -1, -1):
-                Z *= e1[l1]
-                if l1 + 1 < r:
-                    _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
-                else:
-                    Z %= p  # nonnegative; no row of Y is free
-                if j:
-                    Z += X[:, j, :]
-            if h < r:
-                np.subtract(X[:, 0, :], Z, out=Y[1])
-            Z += X[:, 0, :]
+        rest = (r, h, p, table[0])
+        if not split:
+            _stage(X, Y, e1, *rest)
+        elif L > 1:  # halve the rows l0 ...
+            a = L // 2
+            _in_two(_stage, (X[:a], Y[:, :a], e1[:, :a], *rest), (X[a:], Y[:, a:], e1[:, a:], *rest))
+        else:  # ... or the columns of the first stage, which share e1
+            a = m // 2
+            _in_two(_stage, (X[..., :a], Y[..., :a], e1, *rest), (X[..., a:], Y[..., a:], e1, *rest))
         if counter is not None:
             counter.multiplications += Y[:h].size * r
             counter.additions += Y[:h].size * (r - 1) + Y[h:].size
@@ -375,6 +406,78 @@ def _run_stages(
         x, y = y, x
         L *= r
     return x, y
+
+
+def _stage(X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, one) -> None:
+    """One Horner stage from the (L, r, m) view X into the (r, L, m) view Y.
+
+    Horner's rule on the first h rows, one row at a time, seeded with the
+    top leg times one = omega^0 as the counts assume.  A twiddle radix-2
+    stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
+    e1[1] = -e1[0].
+    """
+    for l1 in range(h):
+        Z = Y[l1]
+        np.multiply(X[:, r - 1, :], one, out=Z)
+        for j in range(r - 2, -1, -1):
+            Z *= e1[l1]
+            if l1 + 1 < r:
+                _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
+            else:
+                Z %= p  # nonnegative; no row of Y is free
+            if j:
+                Z += X[:, j, :]
+        if h < r:
+            np.subtract(X[:, 0, :], Z, out=Y[1])
+        Z += X[:, 0, :]
+
+
+_inbox = queue.SimpleQueue()  # (fn, args, done) jobs for the stage worker
+_worker = None  # the stage worker thread, started on first use
+
+
+def _cores() -> int:
+    """CPUs this process may run on, or on the machine where affinity is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_two(fn, first: tuple, second: tuple) -> None:
+    """fn(*first) in this thread and fn(*second) on the stage worker, both done on return.
+
+    An exception from either half is raised here, after both have stopped.
+    """
+    global _worker
+    # A forked child inherits its parent's record of the worker, not the
+    # thread.  Two callers may race to start it; a second worker is harmless.
+    if _worker is None or not _worker.is_alive():
+        _worker = threading.Thread(target=_serve, name="smoothntt-stages", daemon=True)
+        _worker.start()
+    done = queue.SimpleQueue()  # one per job, so callers can share the worker
+    _inbox.put((fn, second, done))
+    try:
+        fn(*first)
+    finally:
+        if (error := done.get()) is not None:
+            raise error
+
+
+def _serve() -> None:
+    """The stage worker: run each (fn, args, done) job, then put its exception or None."""
+    # A ufunc on strided views holds one iterator buffer of this many
+    # elements in each thread; 256 keeps the worker's to 2 KiB.
+    np.setbufsize(256)
+    while True:
+        fn, args, done = _inbox.get()
+        error = None
+        try:
+            fn(*args)
+        except BaseException as exc:
+            error = exc
+        # The caller raises any exception.  Drop the job's views before
+        # signalling, so the caller's buffers can be freed as soon as it returns.
+        del fn, args
+        done.put(error)
+        del done, error
 
 
 def _reduce(z: np.ndarray, p: int, s: np.ndarray) -> None:
@@ -465,13 +568,18 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
     # Read only, so an int64 input is used as it is, without a copy.
     x = _coerce_vector(v, n, p).astype(np.int64, copy=False)
     # Horner's rule for P(z) = sum_i x_i z^i at every z = omega^j at once.
-    # acc stays a residue, so acc * omega^j + x_i < p^2 + p < 2**63.
     acc = np.zeros(n, dtype=np.int64)
     s = np.empty(n, dtype=np.int64)
+    bound = 1  # exclusive bound on the nonnegative entries of acc
     for xi in x[::-1]:
+        # A pass maps acc < B to acc * omega^j + x_i <= B * (p - 1).
+        if bound * (p - 1) >= 2**63:
+            _reduce(acc, p, s)
+            bound = p
         acc *= table
         acc += xi
-        _reduce(acc, p, s)
+        bound = bound * (p - 1) + 1
+    _reduce(acc, p, s)
     return acc
 
 

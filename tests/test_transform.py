@@ -6,7 +6,12 @@ ints; it shares no code with the numpy kernels or the plan's tables.
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from smoothntt.errors import (
 )
 from smoothntt.field import FieldParams, fp_pow
 from smoothntt.numtheory import element_order, factorize
+import smoothntt.transform as transform_module
 from smoothntt.transform import (
     DigitPermutation,
     OpCounts,
@@ -241,6 +247,19 @@ def test_dft_naive_exact_where_products_reach_p_squared():
             expected = sum(pow(plan.omega, i * j, p) * int(v[i]) for i in range(3840)) % p
             assert got[j] == expected
         assert np.array_equal(idft_naive(plan, got), v)
+
+
+@pytest.mark.parametrize("p, n", [(97, 96), (433, 432), (1459, 18), (P_LARGE, 96)])
+def test_dft_naive_lazy_reduction_matches_definition(p, n):
+    # The oracle reduces only when its accumulator bound could pass 2**63:
+    # every 8th pass at F_97, every 6th at F_433 and every pass at P_LARGE.
+    # With every coefficient p - 1, entry n/2 (omega^(n/2) = p - 1) reaches
+    # that bound on every pass.  At F_1459 the 6th pass would reach a value
+    # in [2**63, 2**64), so a test one bit too loose wraps int64 there.
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+    rng = np.random.default_rng(29)
+    for v in (rng.integers(0, p, n), np.full(n, p - 1)):
+        assert dft_naive(plan, v).tolist() == dft_reference(p, plan.omega, v)
 
 
 def test_dft_naive_matches_fft_mixed_radix_2592():
@@ -855,3 +874,129 @@ def test_digit_reverse_converts_slot():
         got = digit_reverse([2, 3], np.int64(s))
         assert got == digit_reverse([2, 3], s)
         assert type(got) is int
+
+
+# --- two-core stages --------------------------------------------------------
+
+
+def pin_cores(monkeypatch, cores):
+    """Make the kernels see `cores` usable CPUs: 1 forces the inline stages."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.fixture(scope="module")
+def plan786433():
+    return plan_transform(FieldParams(786433), 786432)
+
+
+def run_every_kernel(plan, v, w):
+    """Each kernel's output, with its counts where it takes a counter."""
+    out = {}
+    for name, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+        counts = OpCounts()
+        out[name] = kernel(plan, v, counts)
+        out[name + " counts"] = counts
+        out[name + " raw"] = kernel(plan, v, raw_order=True)
+    out["ifft"] = ifft(plan, v)
+    out["ifft raw"] = ifft(plan, v, raw_order=True)
+    out["convolution"] = cyclic_convolve_via_fft(plan, v, w)
+    return out
+
+
+def assert_same_runs(got, expected):
+    assert got.keys() == expected.keys()
+    for key in expected:
+        if isinstance(expected[key], np.ndarray):
+            assert np.array_equal(got[key], expected[key]), key
+        else:
+            assert got[key] == expected[key], key
+
+
+@pytest.mark.parametrize("p, n, g", [(786433, 786432, None), (1811939329, 2**17 * 3, 13)])
+def test_split_stages_match_inline_stages(monkeypatch, p, n, g):
+    # F_786433 (n = 2^18 * 3) splits the columns of its first stage, then the
+    # rows of 18 radix-2 stages.  At p = 2^26 * 27 + 1 every stage after the
+    # first reduces its input first, so the reduce-first pass runs split too.
+    omega = None if g is None else pow(g, (p - 1) // n, p)
+    plan = plan_transform(FieldParams(p), n, omega=omega)
+    rng = np.random.default_rng(30)
+    v, w = rng.integers(0, p, n), rng.integers(0, p, n)
+    pin_cores(monkeypatch, 1)
+    inline = run_every_kernel(plan, v, w)
+    pin_cores(monkeypatch, 2)
+    assert_same_runs(run_every_kernel(plan, v, w), inline)
+    for variant in ("recursive", "twiddle"):
+        assert inline[variant + " counts"] == predicted_counts(n, plan.radices, variant)
+    assert np.array_equal(ifft(plan, inline["twiddle"]), v)
+    assert "smoothntt-stages" in [t.name for t in threading.enumerate()]
+
+
+def test_callers_share_the_stage_worker(monkeypatch, plan786433):
+    # Three callers, more than the two cores, put their halves on the one
+    # worker; a short switch interval interleaves them finely.
+    plan, p, n = plan786433, 786433, 786432
+    pin_cores(monkeypatch, 2)
+    inputs = [np.random.default_rng(32 + k).integers(0, p, n) for k in range(3)]
+    expected = [fft_twiddle(plan, v) for v in inputs]
+    got = [[] for _ in inputs]
+
+    def call(k):
+        for _ in range(2):
+            got[k].append(fft_twiddle(plan, inputs[k]))
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for k in range(3):
+        assert len(got[k]) == 2
+        assert all(np.array_equal(out, expected[k]) for out in got[k])
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch, plan786433):
+    plan, p, n = plan786433, 786433, 786432
+    pin_cores(monkeypatch, 2)
+    v = np.random.default_rng(34).integers(0, p, n)
+    expected = fft_twiddle(plan, v)
+    caller = threading.get_ident()
+    stage = transform_module._stage
+
+    def failing_on_the_worker(*args):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("worker half")
+        stage(*args)
+
+    monkeypatch.setattr(transform_module, "_stage", failing_on_the_worker)
+    with pytest.raises(ArithmeticError, match="worker half"):
+        fft_twiddle(plan, v)
+    monkeypatch.setattr(transform_module, "_stage", stage)
+    assert np.array_equal(fft_twiddle(plan, v), expected)
+
+
+def test_small_transforms_start_no_thread():
+    # Below n = 2^17 every stage runs inline, whatever the CPU count.
+    code = (
+        "import threading\n"
+        "from smoothntt import FieldParams\n"
+        "from smoothntt.transform import cyclic_convolve_via_fft, fft_recursive, fft_twiddle, ifft, plan_transform\n"
+        "plan = plan_transform(FieldParams(65537), 65536)\n"
+        "v = list(range(65536))\n"
+        "fft_recursive(plan, v)\n"
+        "ifft(plan, fft_twiddle(plan, v, raw_order=True))\n"
+        "cyclic_convolve_via_fft(plan, v, v)\n"
+        "print(threading.active_count())\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "1\n"
