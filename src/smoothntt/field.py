@@ -17,7 +17,7 @@ FieldElement = int
 FIELD_MODULUS_LIMIT = 1 << 31
 
 # Fixed Miller-Rabin witness set: deterministic for every q < 3.3 * 10**24
-# (Sorenson & Webster).  `Factorization` checks primes of any size with it.
+# (Sorenson & Webster), far beyond FIELD_MODULUS_LIMIT.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -30,8 +30,7 @@ def is_prime(q: int) -> bool:
     q = operator.index(q)
     if q < 2:
         return False
-    # Trial division by 61 too, so that no witness below is 0 mod q.
-    for w in (*_MR_WITNESSES, 61):
+    for w in _MR_WITNESSES:
         if q % w == 0:
             return q == w
     d = q - 1
@@ -39,10 +38,7 @@ def is_prime(q: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # (2, 7, 61) is deterministic for q < 4,759,123,141 (Jaeschke, Math. Comp.
-    # 1993), which covers every field modulus at a quarter of the work; the
-    # bound itself is the least strong pseudoprime to all three.
-    for w in (2, 7, 61) if q < 4_759_123_141 else _MR_WITNESSES:
+    for w in _MR_WITNESSES:
         x = pow(w, d, q)
         if x == 1 or x == q - 1:
             continue

@@ -102,10 +102,16 @@ kept by the caller, per whole stage, exactly as before, so the outputs are
 bit-identical and the counts unchanged.  Below 2**17, or on one CPU, each
 stage runs whole in the caller: at n = 2**16 (F_65537, numpy 2.4.6,
 2-core x86-64 host) split stages made `fft_twiddle` 1.15x and `ifft`
-1.17x slower.  The worker sets its numpy buffer size to 256 elements, so
-the iterator buffer its strided ufuncs hold is 2 KiB, not 64 KiB: at
-n = 147456 a split call peaks about 4 KiB above a whole one, where 64 KiB
-would pass the peak bounds of the tests.  The worker drops its references
+1.17x slower, and with the process held to one CPU (`taskset -c 0`) they
+made `fft_twiddle`, `ifft` and convolution 1.04x, 1.08x and 1.04x slower
+at F_786433, and 1.00x, 1.05x and 1.05x at F_147457 (medians of 41
+interleaved calls; the same code against itself read 0.97x to 1.02x).  A
+CPU quota set by a cgroup does not shrink the affinity mask, so a process
+held to one CPU that way splits and pays that cost.  The worker sets its
+numpy buffer size to 256 elements, so the iterator buffer its strided
+ufuncs hold is 2 KiB, not 64 KiB: at n = 147456 a split call peaks about
+4 KiB above a whole one, where 64 KiB would exceed the peak bounds of the
+tests.  The worker drops its references
 to a job's views before it signals that the job is done, so no buffer
 outlives the call that owns it.  Callers in several threads share the one
 worker; each job carries its own reply queue.
@@ -118,14 +124,9 @@ the omega^k table and `_reduce` with the kernels.  It reads the definition
 X_j = P(omega^j), P(z) = sum_i x_i z^i, and evaluates P at every omega^j at
 once by Horner's rule: one pass per coefficient, from x_{n-1} down to x_0,
 multiplies an accumulator vector by the full table, adds the coefficient and
-reduces lazily, by floor division through one n-element scratch vector.
-Every operand is nonnegative, and the oracle tracks one exclusive bound B on
-the accumulator: B = 1 for the zero vector, and a pass maps entries below B
-to at most (B - 1)(p - 1) + (p - 1) = B(p - 1), so to below B(p - 1) + 1.
-It reduces before a pass only when B(p - 1) could reach 2**63, restarting
-at B = p, and once at the end.  Since p(p - 1) < 2**63 for p < 2**31, the
-one path serves every field: below p = 2**21 it reduces at most every
-other pass, near 2**31 on every pass.  It never writes
+reduces by floor division through one n-element scratch vector.  The
+accumulator holds residues, so every operand is nonnegative and below
+p^2 + p < 2**63, and the one path serves every p < 2**31.  It never writes
 its input, so it reads an int64 input without copying it and holds only the
 accumulator and the scratch; any other input costs one int64 conversion
 more.  `idft_naive` reads the same definition at index -j mod n through the
@@ -389,14 +390,13 @@ def _run_stages(
         # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
         h = _stage_rows(variant, r)
-        rest = (r, h, p, table[0])
         if not split:
-            _stage(X, Y, e1, *rest)
+            _stage(X, Y, e1, r, h, p, table[0])
         elif L > 1:  # halve the rows l0 ...
-            a = L // 2
+            a, rest = L // 2, (r, h, p, table[0])
             _in_two(_stage, (X[:a], Y[:, :a], e1[:, :a], *rest), (X[a:], Y[:, a:], e1[:, a:], *rest))
         else:  # ... or the columns of the first stage, which share e1
-            a = m // 2
+            a, rest = m // 2, (r, h, p, table[0])
             _in_two(_stage, (X[..., :a], Y[..., :a], e1, *rest), (X[..., a:], Y[..., a:], e1, *rest))
         if counter is not None:
             counter.multiplications += Y[:h].size * r
@@ -568,18 +568,13 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
     # Read only, so an int64 input is used as it is, without a copy.
     x = _coerce_vector(v, n, p).astype(np.int64, copy=False)
     # Horner's rule for P(z) = sum_i x_i z^i at every z = omega^j at once.
+    # acc stays a residue, so acc * omega^j + x_i < p^2 + p < 2**63.
     acc = np.zeros(n, dtype=np.int64)
     s = np.empty(n, dtype=np.int64)
-    bound = 1  # exclusive bound on the nonnegative entries of acc
     for xi in x[::-1]:
-        # A pass maps acc < B to acc * omega^j + x_i <= B * (p - 1).
-        if bound * (p - 1) >= 2**63:
-            _reduce(acc, p, s)
-            bound = p
         acc *= table
         acc += xi
-        bound = bound * (p - 1) + 1
-    _reduce(acc, p, s)
+        _reduce(acc, p, s)
     return acc
 
 

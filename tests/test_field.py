@@ -122,29 +122,6 @@ def test_is_prime_edge_values():
     assert not is_prime(2**31 - 2)
 
 
-def test_is_prime_against_a_sieve():
-    n = 10**5
-    sieve = np.ones(n, dtype=bool)
-    sieve[:2] = False
-    for d in range(2, int(n**0.5) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = False
-    assert [is_prime(q) for q in range(n)] == sieve.tolist()
-
-
-def test_is_prime_witness_sets():
-    # Below 4759123141 the witnesses are (2, 7, 61).  3215031751 is a strong
-    # pseudoprime to 2, 3, 5 and 7, and 25326001 to 2, 3 and 5; 61 must
-    # catch both.  4759123141 = 48781 * 97561 fools (2, 7, 61) and sits at
-    # the bound, where the twelve-prime set takes over.
-    assert 3215031751 == 151 * 751 * 28351 and not is_prime(3215031751)
-    assert 25326001 == 2251 * 11251 and not is_prime(25326001)
-    assert 4759123141 == 48781 * 97561 and not is_prime(4759123141)
-    # 61 is a witness and a prime, so no witness may be 0 mod q when it runs.
-    assert is_prime(61)
-    assert is_prime(2**31 - 1)
-
-
 def test_field_params_validation():
     with pytest.raises(InvalidField):
         FieldParams(10)
