@@ -22,7 +22,7 @@ transpose copy (`digit_reverse` maps slots to coefficient indices).
 A stage evaluates that polynomial by Horner's rule in its first h output
 rows, one row Z = Y[l1] at a time: Z starts as the top leg X[:, r-1, :]
 times omega^0, and each of the r - 1 steps multiplies Z by e1[l1], reduces
-it and adds the next lower leg.  The variants differ only in h, and
+it where the bound below requires, and adds the next lower leg.  The variants differ only in h, and
 `_stage_rows` is the one rule that sets it, for the kernel and for
 `predicted_counts` alike.  A stage costs n * h multiplications by table
 entries, omega^0 included, and n * (r_k - 1) additions.
@@ -41,16 +41,32 @@ Reduction is lazy.  Stages before the last hand on signed int64 entries
 congruent to the field values, not residues, and the kernel tracks one
 exclusive bound B on |entry|, starting at p for the residue input.  Each
 stage output is a reduced Horner value plus or minus one input entry, so it
-stays below B + p, and so does every Horner intermediate: no product
-exceeds (B + p) * p.  Before a stage where (B + p) * p could reach 2**63,
-the kernel reduces its input in place and restarts at B = p, which always
-fits because 2p^2 < 2**63 for p < 2**31.  At p = 786433 no stage needs
+stays below B + p.  A Horner step after a reduction multiplies a value
+below B + p by a twiddle below p.  Before a stage where (B + p) * p could
+reach 2**63, the kernel reduces its input in place and restarts at B = p,
+which always fits because 2p^2 < 2**63 for p < 2**31.  At p = 786433 no stage needs
 this; at p = 1811939329 and p = 2013265921 every stage after the first
 does.  The output of the last stage is reduced once, into [0, p) for
 negative entries too, so the kernel returns bit-exact residues.  The
 inverse folds its n^-1 scaling into that reduction: it multiplies the
 unreduced output by n^-1 < p first, which the same check keeps below
 2**63.
+
+Inside a stage a Horner row reduces only where int64 needs it (lazy
+reduction inside the butterfly, as in Harvey, "Faster arithmetic for
+number-theoretic transforms", J. Symbolic Comput., 2014).  The row tracks
+an exclusive bound b on |Z|: b = B for the omega^0 seed, b * p after each
+product, p after a reduction and b + B after a leg is added.  A step
+reduces Z when it is the last step or when the next product could reach
+2**63, (b + B) * p >= 2**63.  So every row still ends reduced, every stage
+output stays below B + p, and the reduce-first rule above is unchanged.
+A radix-3 row then reduces once, not twice, wherever (B * p + B) * p <
+2**63: in all ten radix-3 stages of F_472393 (B <= 10p, and 10p^3 <
+2**60), in the one radix-3 stage of F_786433, and at
+p = 1769473 (p^3 < 2**63 <= 2p^3) only in a stage with B = p.  At
+p = 211 (p - 1 = 2*3*5*7) a radix-7 row reduces only after its last
+product.  Near 2**31 every step reduces, as before.  Reductions are not
+operations in the counts, so the counts do not move.
 
 int64 `%` by a scalar is a scalar loop that branches on sign, while int64
 floor division by a scalar is vectorized: at n = 393216 (numpy 2.4.6,
@@ -74,32 +90,60 @@ residue and only the X0 - t row makes a signed entry, and running the
 largest radices first puts every h = r stage before that row.
 
 A stage reads only X, e1 and omega^0 and writes only Y, through `out=`
-ufuncs and in-place operators, so each kernel call owns two n-element
-int64 buffers, the private copy of its input and the stage output; only
-the reduce-first pass writes a stage's input.  `cyclic_convolve_via_fft`
+ufuncs and in-place operators, and the transpose copy writes the free
+buffer, so each kernel call owns two n-element int64 buffers, the private
+copy of its input and the stage output; only the reduce-first pass writes
+a stage's input.  `cyclic_convolve_via_fft`
 peaks at three n-element buffers: its second forward call holds U beside
 its own two, and its inverse runs on the product it owns in U, with V as
 the reduction scratch and one stage output, through `_run_stages` and
 `_reduce_output` directly, so the product is neither checked nor copied
 again.
 
+The narrow tail stages run transposed (Van Loan, "Computational
+Frameworks for the Fast Fourier Transform", SIAM, 1992).  A late stage has
+small m, and numpy would run L outer iterations of an m-element inner
+loop.  So for n >= 2**17, before the first stage with r*m <= 32 (where
+L = n / (r*m) >= 4096), the kernel copies the (L, r*m) buffer once into
+the free buffer as its (r*m, L) transpose, 1024 columns at a time
+(`_copy_blocks`).  The stages from there on take
+X = x.reshape(r, m, L).transpose(2, 0, 1) and
+Y = y.reshape(m, r, L).transpose(1, 2, 0), the same (L, r, m) and
+(r, L, m) index spaces with L now contiguous, and the same e1.  So
+`_stage` does not change and numpy iterates over L innermost.  Each stage
+writes the transpose of the next stage's layout, and after the m = 1 stage
+the buffer is in natural order.  Three limits hold; each was measured by
+lifting it alone (numpy 2.4.6, 2-core x86-64 host):
+- the n >= 2**17 gate: ungated, F_97 ran 1.25-1.30x and F_3457
+  1.02-1.04x slower (medians of 41 interleaved calls);
+- the split axis: a transposed stage splits along m while m >= 2 and
+  along l0 only at m = 1; an l0 split at every m peaked at 2.098 * 8n at
+  F_147457 on two CPUs, past the tests' 2.0694 * 8n bound, where the m
+  split reads 2.061 * 8n, as untransposed split stages do;
+- r*m <= 32: with r*m <= 96 the split peak read 2.098 * 8n too.
+
 numpy releases the GIL inside a ufunc, so a second core can run half of
 each stage (the threaded loops of Frigo and Johnson's FFTW3, Proc. IEEE,
 2005).  For n >= 2**17, when the process may run on two or more CPUs
 (`os.sched_getaffinity`; n is tested first, so a small transform makes no
 syscall), every stage is split into two disjoint halves:
-- a stage with L >= 2 splits its rows l0: X[:a], Y[:, :a] and e1[:, :a]
-  with a = L // 2, and the rest;
-- the first stage (L = 1) splits its columns: X[..., :a] and Y[..., :a]
-  with a = m // 2, and the rest, both reading all of e1;
-- the reduce-first pass splits x[:n//2] and y[:n//2] from the rest.
+- an untransposed stage with L >= 4 splits its rows l0: X[:a], Y[:, :a]
+  and e1[:, :a] with a = L // 2, and the rest;
+- an untransposed stage with L < 4 splits its columns: X[..., :a] and
+  Y[..., :a] with a = m // 2, and the rest, both reading all of e1, so
+  the L = 3 stage does not give the worker two rows of three;
+- a transposed stage splits its columns while m >= 2, and its rows l0 at
+  m = 1;
+- the reduce-first pass, the transpose copy and the output reduction
+  (with the inverse's n^-1 scaling) split their arrays into first and
+  second halves.
 Each half is the same Horner stage, `_stage`, on views: it writes only its
 own part of Y and reads only its own part of X, so the halves never touch
 the same element.  The caller hands the second half to one persistent
 daemon worker thread, runs the first and waits for both; an exception in
 either half is raised in the caller.  The bound B and the counters are
-kept by the caller, per whole stage, exactly as before, so the outputs are
-bit-identical and the counts unchanged.  Below 2**17, or on one CPU, each
+kept by the caller, per whole stage, so the outputs are bit-identical
+and the counts unchanged.  Below 2**17, or on one CPU, each
 stage runs whole in the caller: at n = 2**16 (F_65537, numpy 2.4.6,
 2-core x86-64 host) split stages made `fft_twiddle` 1.15x and `ifft`
 1.17x slower, and with the process held to one CPU (`taskset -c 0`) they
@@ -130,8 +174,9 @@ p^2 + p < 2**63, and the one path serves every p < 2**31.  It never writes
 its input, so it reads an int64 input without copying it and holds only the
 accumulator and the scratch; any other input costs one int64 conversion
 more.  `idft_naive` reads the same definition at index -j mod n through the
-kernels' final scaling and reduction, with a fresh scratch array taken after
-the oracle's own is freed.  The tests check the oracle against a Python-int
+kernels' final scaling and reduction, run whole, so the oracle shares no
+threading with the kernels, with a fresh scratch array taken after the
+oracle's own is freed.  The tests check the oracle against a Python-int
 evaluation of the definition, so sharing `_reduce` leaves it independently
 checked.
 """
@@ -364,12 +409,13 @@ def _run_stages(
     x: np.ndarray,
     variant: str,
     counter: OpCounts | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unreduced stage output, |entry| * p < 2**63, and the free buffer."""
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The unreduced output, |entry| * p < 2**63, the free buffer and whether the stages split."""
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
     # Split each stage in two above 2**17 on two or more CPUs (module docstring).
     split = n >= 2**17 and _cores() >= 2
+    transposed = False  # whether x holds the (r*m, L) transpose of its (L, r*m) layout
     bound = p  # exclusive bound on |entry| of x; the input holds residues
     L = 1
     # Largest radix first: every h = r stage then reads nonnegative entries,
@@ -378,26 +424,32 @@ def _run_stages(
     for r in sorted(plan.radices, reverse=True):
         # The stage's products stay below (bound + p) * p; past int64, reduce first.
         if (bound + p) * p >= 2**63:
-            if split:
-                _in_two(_reduce, (x[: n // 2], p, y[: n // 2]), (x[n // 2 :], p, y[n // 2 :]))
-            else:
-                _reduce(x, p, y)
+            _halves(split, _reduce, x, p, y)
             bound = p
         m = n // (L * r)
-        X = x.reshape(L, r, m)
-        Y = y.reshape(r, L, m)
+        if n >= 2**17 and r * m <= 32 and not transposed:
+            # The narrow tail runs with L innermost: one copy into (r*m, L), L >= 4096.
+            _halves(split, _copy_blocks, y.reshape(r * m, L), x.reshape(L, r * m).T)
+            x, y, transposed = y, x, True
+        if transposed:
+            X = x.reshape(r, m, L).transpose(2, 0, 1)
+            Y = y.reshape(m, r, L).transpose(1, 2, 0)
+        else:
+            X = x.reshape(L, r, m)
+            Y = y.reshape(r, L, m)
         # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
         # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
         e1 = table[::m].reshape(r, L, 1)
         h = _stage_rows(variant, r)
+        rest = (r, h, p, table[0], bound)
         if not split:
-            _stage(X, Y, e1, r, h, p, table[0])
-        elif L > 1:  # halve the rows l0 ...
-            a, rest = L // 2, (r, h, p, table[0])
-            _in_two(_stage, (X[:a], Y[:, :a], e1[:, :a], *rest), (X[a:], Y[:, a:], e1[:, a:], *rest))
-        else:  # ... or the columns of the first stage, which share e1
-            a, rest = m // 2, (r, h, p, table[0])
+            _stage(X, Y, e1, *rest)
+        elif (m > 1 if transposed else L < 4):  # halve the columns, which share e1 ...
+            a = m // 2
             _in_two(_stage, (X[..., :a], Y[..., :a], e1, *rest), (X[..., a:], Y[..., a:], e1, *rest))
+        else:  # ... or the rows l0
+            a = L // 2
+            _in_two(_stage, (X[:a], Y[:, :a], e1[:, :a], *rest), (X[a:], Y[:, a:], e1[:, a:], *rest))
         if counter is not None:
             counter.multiplications += Y[:h].size * r
             counter.additions += Y[:h].size * (r - 1) + Y[h:].size
@@ -405,28 +457,40 @@ def _run_stages(
         bound += p
         x, y = y, x
         L *= r
-    return x, y
+    return x, y, split
 
 
-def _stage(X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, one) -> None:
+def _stage(
+    X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, one, bound: int
+) -> None:
     """One Horner stage from the (L, r, m) view X into the (r, L, m) view Y.
 
+    The views may have any strides: the transposed tail stages pass views
+    whose L axis is contiguous, so numpy iterates over it innermost.
     Horner's rule on the first h rows, one row at a time, seeded with the
-    top leg times one = omega^0 as the counts assume.  A twiddle radix-2
+    top leg times one = omega^0 as the counts assume.  bound is the
+    exclusive bound on |entry| of X.  A step reduces Z only when it is the
+    last or when the next step's product could reach 2**63, so every row
+    ends reduced and each output stays below bound + p.  A twiddle radix-2
     stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
     e1[1] = -e1[0].
     """
     for l1 in range(h):
         Z = Y[l1]
         np.multiply(X[:, r - 1, :], one, out=Z)
+        b = bound  # exclusive bound on |Z|
         for j in range(r - 2, -1, -1):
             Z *= e1[l1]
-            if l1 + 1 < r:
-                _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
-            else:
-                Z %= p  # nonnegative; no row of Y is free
+            b *= p
+            if j == 0 or (b + bound) * p >= 2**63:
+                if l1 + 1 < r:
+                    _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
+                else:
+                    Z %= p  # nonnegative; no row of Y is free
+                b = p
             if j:
                 Z += X[:, j, :]
+                b += bound
         if h < r:
             np.subtract(X[:, 0, :], Z, out=Y[1])
         Z += X[:, 0, :]
@@ -439,6 +503,31 @@ _worker = None  # the stage worker thread, started on first use
 def _cores() -> int:
     """CPUs this process may run on, or on the machine where affinity is unknown."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _copy_blocks(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src for 2-D views, 1024 columns at a time.
+
+    src is a transposed view, read with a stride of r*m elements down each
+    column.  Whole, numpy walks all of it once per row of dst: at n = 786432
+    and r*m = 32 that copy took 6.4 ms, and in blocks of 1024 columns, whose
+    source lines stay in cache across the rows, 1.6 ms (numpy 2.4.6, 2-core
+    x86-64 host, one thread).
+    """
+    for s in range(0, dst.shape[1], 1024):
+        np.copyto(dst[:, s : s + 1024], src[:, s : s + 1024])
+
+
+def _halves(split: bool, fn, *args) -> None:
+    """fn(*args), or when split, fn on the first and on the second half of each array in args.
+
+    An array is halved along its first axis; any other argument goes to both.
+    """
+    if split:
+        pairs = [(a[: len(a) // 2], a[len(a) // 2 :]) if isinstance(a, np.ndarray) else (a, a) for a in args]
+        _in_two(fn, *zip(*pairs))
+    else:
+        fn(*args)
 
 
 def _in_two(fn, first: tuple, second: tuple) -> None:
@@ -493,19 +582,20 @@ def _reduce(z: np.ndarray, p: int, s: np.ndarray) -> None:
 
 
 def _reduce_output(
-    plan: TransformPlan, x: np.ndarray, s: np.ndarray, inverse: bool
+    plan: TransformPlan, x: np.ndarray, s: np.ndarray, split: bool, inverse: bool
 ) -> np.ndarray:
     """x mod p, or n^-1 * x[-j mod n] mod p for every j when inverse.
 
     |x| * p must stay below 2**63.  s is a free array of x's shape; the
-    result is written into x or s and returned.
+    result is written into x or s and returned.  When split, each pass runs
+    in two halves, as the stages do.
     """
     if inverse:
         # sum_k omega^(-jk) V_k is the forward output at index -j mod n.
         s[0] = x[0] * plan.inv_n
-        np.multiply(x[:0:-1], plan.inv_n, out=s[1:])
+        _halves(split, np.multiply, x[:0:-1], plan.inv_n, s[1:])
         x, s = s, x
-    _reduce(x, plan.p, s)
+    _halves(split, _reduce, x, plan.p, s)
     return x
 
 
@@ -520,8 +610,8 @@ def _transform(
     # Always a private copy: the staged kernels use it as a working buffer
     # and leave unreduced, possibly negative, entries in it.
     x = _coerce_vector(v, plan.n, plan.p).astype(np.int64, copy=True)
-    x, s = _run_stages(plan, x, variant, counter)
-    x = _reduce_output(plan, x, s, inverse)
+    x, s, split = _run_stages(plan, x, variant, counter)
+    x = _reduce_output(plan, x, s, split, inverse)
     del s  # the free buffer goes before the raw-order copy
     if raw_order:
         # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1),
@@ -580,7 +670,8 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
 
 def idft_naive(plan: TransformPlan, V) -> np.ndarray:
     """Direct inverse: n^-1 times the definition read at index -j mod n."""
-    return _reduce_output(plan, dft_naive(plan, V), np.empty(plan.n, np.int64), True)
+    # Whole passes: the oracle shares no threading with the kernels.
+    return _reduce_output(plan, dft_naive(plan, V), np.empty(plan.n, np.int64), False, True)
 
 
 def predicted_counts(

@@ -331,27 +331,35 @@ def test_schedule_invariance(radices):
 
 
 @pytest.mark.parametrize(
-    "p, n, multiset", [(37, 36, (2, 2, 3, 3)), (433, 216, (2, 2, 2, 3, 3, 3))]
+    "p, n, multiset",
+    [
+        (37, 36, (2, 2, 3, 3)),
+        (433, 216, (2, 2, 2, 3, 3, 3)),
+        # p - 1 = 2 * 3 * 5 * 7 and (p + 1)^7 < 2^63, so every step of a
+        # radix-7 or radix-5 Horner row leaves its product unreduced but the last.
+        (211, 210, (2, 3, 5, 7)),
+        (211, 30, (2, 3, 5)),
+    ],
 )
 def test_every_schedule_order_matches_oracle(p, n, multiset):
     # The stages run largest radix first whatever the listed order, so every
     # ordering must give the oracle's output and counts, and raw order must
     # follow plan.radices as listed.
     oracle = plan_transform(FieldParams(p), n)
-    v = np.random.default_rng(n).integers(0, p, n)
-    expected = dft_naive(oracle, v)
-    for radices in sorted(set(itertools.permutations(multiset))):
-        plan = plan_transform(FieldParams(p), n, omega=oracle.omega, radices=radices)
-        assert plan.radices == radices
-        raw_order = raw_order_reference(radices, n)
-        raw_expected = expected[raw_order]
-        for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
-            counts = OpCounts()
-            assert np.array_equal(kernel(plan, v, counts), expected), (radices, variant)
-            assert counts == predicted_counts(n, radices, variant)
-            assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
-        assert np.array_equal(ifft(plan, expected), v)
-        assert np.array_equal(ifft(plan, expected, raw_order=True), v[raw_order])
+    for v in (np.random.default_rng(n).integers(0, p, n), np.full(n, p - 1)):
+        expected = dft_naive(oracle, v)
+        for radices in sorted(set(itertools.permutations(multiset))):
+            plan = plan_transform(FieldParams(p), n, omega=oracle.omega, radices=radices)
+            assert plan.radices == radices
+            raw_order = raw_order_reference(radices, n)
+            raw_expected = expected[raw_order]
+            for variant, kernel in (("recursive", fft_recursive), ("twiddle", fft_twiddle)):
+                counts = OpCounts()
+                assert np.array_equal(kernel(plan, v, counts), expected), (radices, variant)
+                assert counts == predicted_counts(n, radices, variant)
+                assert np.array_equal(kernel(plan, v, raw_order=True), raw_expected)
+            assert np.array_equal(ifft(plan, expected), v)
+            assert np.array_equal(ifft(plan, expected, raw_order=True), v[raw_order])
 
 
 # Lengths whose schedules mix 2, 3 and composite radices up to 16, small
@@ -463,6 +471,28 @@ def test_stage_entries_at_the_bound_stay_exact():
         inverse = [expected[-j % n] * pow(n, -1, p) % p for j in range(n)]
         assert ifft(plan, v).tolist() == inverse, radices
         assert idft_naive(plan, v).tolist() == inverse, radices
+
+
+def test_horner_rows_reduce_before_the_int64_bound():
+    # At p = 2^16 * 27 + 1, p^3 < 2^63 <= 2p^3.  A radix-3 row whose input
+    # bound is B = p may leave its first product unreduced, since
+    # (p^2 + p) * p < 2^63; at B = 2p it may not.  With schedule (3, 3), n = 9
+    # and omega = zeta ~ 0.9905p, stage 2 row l0 = 1, l1 = 0 evaluates at
+    # e = zeta, and its legs 1 and 2 are stage-1 row 1 (twiddle c = zeta^3)
+    # at columns j, i.e. ((v[6+j] c + v[3+j]) c % p) + v[j] = 2p - 2 below.
+    # Left unreduced, that row's second product (2p - 2)(e + 1) e passes 2^63.
+    p = 1769473
+    zeta = pow(5, 2 * (p - 1) // 9, p)  # a primitive 9th root of unity
+    c = pow(zeta, 3, p)
+    assert (p * p + p) * p < 2**63 <= (2 * p * p + 2 * p) * p
+    assert (2 * p - 2) * (zeta + 1) * zeta >= 2**63
+    v = [0, p - 1, p - 1, 0, -pow(c, -1, p) % p, -pow(c, -1, p) % p, 0, 0, 0]
+    plan = plan_transform(FieldParams(p), 9, omega=zeta, radices=[3, 3])
+    expected = dft_reference(p, zeta, v)
+    for kernel in (fft_recursive, fft_twiddle):
+        assert kernel(plan, v).tolist() == expected, kernel.__name__
+    inverse = [expected[-j % 9] * pow(9, -1, p) % p for j in range(9)]
+    assert ifft(plan, v).tolist() == inverse
 
 
 def test_fft_subgroup_length_matches_naive():
@@ -924,6 +954,25 @@ def test_split_stages_match_inline_stages(monkeypatch, p, n, g):
         assert inline[variant + " counts"] == predicted_counts(n, plan.radices, variant)
     assert np.array_equal(ifft(plan, inline["twiddle"]), v)
     assert "smoothntt-stages" in [t.name for t in threading.enumerate()]
+
+
+def test_transposed_tail_matches_the_definition(monkeypatch):
+    # From n = 2^17 on, the stages with r*m <= 32 run on the (r*m, L)
+    # transpose.  At p = 2^26 * 27 + 1 every stage after the first reduces
+    # its input first, so that pass runs on the transposed layout too.  Each
+    # sampled output is checked against the defining sum, split and whole.
+    p, n = 1811939329, 2**17 * 3
+    plan = plan_transform(FieldParams(p), n, omega=pow(13, (p - 1) // n, p))
+    rng = np.random.default_rng(36)
+    v = rng.integers(0, p, n)
+    i = np.arange(n)
+    samples = [0, 1, 2, n // 2, n - 1, *rng.integers(0, n, 11)]
+    # v_i * omega^(ij) < p^2 and the n reduced terms sum below n * p < 2^63.
+    definition = [int((v * plan.twiddles[i * j % n] % p).sum()) % p for j in samples]
+    for cores in (1, 2):
+        pin_cores(monkeypatch, cores)
+        for kernel in (fft_recursive, fft_twiddle):
+            assert kernel(plan, v)[samples].tolist() == definition, (cores, kernel.__name__)
 
 
 def test_callers_share_the_stage_worker(monkeypatch, plan786433):
