@@ -176,7 +176,10 @@ def cmd_generator(args: argparse.Namespace) -> None:
 
 
 def cmd_primes(args: argparse.Namespace) -> None:
-    factors = {int(tok) for tok in args.factors.split(",")}
+    try:
+        factors = {int(tok) for tok in args.factors.split(",")}
+    except ValueError as exc:
+        raise ValueError(f"bad factor list {args.factors!r}") from exc
     for rec in prime_search(args.min, args.max, factors):
         print(f"{rec.p} {rec.factorization} {rec.generator}")
 

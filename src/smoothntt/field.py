@@ -16,13 +16,26 @@ FieldElement = int
 
 FIELD_MODULUS_LIMIT = 1 << 31
 
-# Fixed Miller-Rabin witness set: deterministic for every q < 3.3 * 10**24
-# (Sorenson & Webster), far beyond FIELD_MODULUS_LIMIT.
+# Two Miller-Rabin witness sets.  (2, 7, 61) is deterministic for every
+# q < 4,759,123,141 (Jaeschke, Math. Comp. 1993), which covers every field
+# modulus; that bound is the least strong pseudoprime to all three.  The
+# twelve primes up to 37 are deterministic for every q below
+# 318665857834031151167461 = 399165290221 * 798330580441 (about 3.187 * 10**23,
+# the least strong pseudoprime to all twelve; Sorenson & Webster, Math. Comp.
+# 2017), so `Factorization` can check larger primes; from there on a pass
+# means only "probably prime".
+_SMALL_WITNESSES = (2, 7, 61)
+_SMALL_WITNESS_LIMIT = 4_759_123_141
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(q: int) -> bool:
-    """Deterministic primality test, exact for every q below 2**31.
+    """Miller-Rabin primality test, exact for every q below 3.187 * 10**23.
+
+    Trial division by the twelve primes up to 37 and by 61 comes first, so
+    no witness is 0 mod q.  Then q < 4,759,123,141, every field modulus
+    included, runs the witnesses (2, 7, 61); a larger q runs the twelve
+    primes up to 37, proven below 3.187 * 10**23 and only probable above.
 
     q is converted with `operator.index`: a non-integer raises TypeError
     before any test, and a numpy integer is tested as the plain int.
@@ -30,7 +43,7 @@ def is_prime(q: int) -> bool:
     q = operator.index(q)
     if q < 2:
         return False
-    for w in _MR_WITNESSES:
+    for w in (*_MR_WITNESSES, 61):
         if q % w == 0:
             return q == w
     d = q - 1
@@ -38,7 +51,7 @@ def is_prime(q: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _SMALL_WITNESSES if q < _SMALL_WITNESS_LIMIT else _MR_WITNESSES:
         x = pow(w, d, q)
         if x == 1 or x == q - 1:
             continue

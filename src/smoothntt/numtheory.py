@@ -28,8 +28,10 @@ class Factorization:
     """A positive integer n as an ordered product of prime powers.
 
     The constructor validates a hand-built record: strictly increasing
-    primes, each proven by Miller-Rabin, positive exponents, and a product
-    equal to n.  It first converts n, each prime and each exponent with
+    primes, each checked by `is_prime`, positive exponents, and a product
+    equal to n.  `is_prime` proves a prime below 3.187 * 10**23; above that
+    it only finds it probably prime, so a larger factor is not proven.  It
+    first converts n, each prime and each exponent with
     `operator.index`, so a float raises TypeError and a numpy integer is
     stored as a plain int.  `factorize` builds records that hold all of this
     by construction, so it does not run these checks.

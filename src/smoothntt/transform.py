@@ -167,10 +167,18 @@ The oracle `dft_naive` keeps no state and shares only the input check,
 the omega^k table and `_reduce` with the kernels.  It reads the definition
 X_j = P(omega^j), P(z) = sum_i x_i z^i, and evaluates P at every omega^j at
 once by Horner's rule: one pass per coefficient, from x_{n-1} down to x_0,
-multiplies an accumulator vector by the full table, adds the coefficient and
-reduces by floor division through one n-element scratch vector.  The
-accumulator holds residues, so every operand is nonnegative and below
-p^2 + p < 2**63, and the one path serves every p < 2**31.  It never writes
+multiplies an accumulator vector by the full table and adds the coefficient.
+Every operand is nonnegative, and the oracle keeps one exclusive bound B on
+the accumulator: B = 1 for the zeros, and a pass maps entries below B to at
+most (B - 1)(p - 1) + (p - 1), so to below B(p - 1) + 1.  It reduces by
+floor division, through one n-element scratch vector, only before a pass
+that could reach 2**63, that is when B(p - 1) >= 2**63, restarting at B = p,
+and once at the end.  Since p(p - 1) < 2**63 for p < 2**31, the one path
+serves every field: F_629857, F_147457 and F_139969 reduce every 2nd pass
+(p^3 < 2**63 below p = 2**21), F_97 every 8th, and a field near 2**31 on
+every pass.  The rule costs one integer comparison per pass, and below
+p = 2**21 it at least halves the reductions, which take most of its time.
+The tests pin the rule at its boundary.  It never writes
 its input, so it reads an int64 input without copying it and holds only the
 accumulator and the scratch; any other input costs one int64 conversion
 more.  `idft_naive` reads the same definition at index -j mod n through the
@@ -658,13 +666,19 @@ def dft_naive(plan: TransformPlan, v) -> np.ndarray:
     # Read only, so an int64 input is used as it is, without a copy.
     x = _coerce_vector(v, n, p).astype(np.int64, copy=False)
     # Horner's rule for P(z) = sum_i x_i z^i at every z = omega^j at once.
-    # acc stays a residue, so acc * omega^j + x_i < p^2 + p < 2**63.
     acc = np.zeros(n, dtype=np.int64)
     s = np.empty(n, dtype=np.int64)
+    bound = 1  # exclusive bound on the nonnegative entries of acc
     for xi in x[::-1]:
+        # A pass maps acc < B to acc * omega^j + x_i <= B * (p - 1); reduce
+        # first when that could reach 2**63.
+        if bound * (p - 1) >= 2**63:
+            _reduce(acc, p, s)
+            bound = p
         acc *= table
         acc += xi
-        _reduce(acc, p, s)
+        bound = bound * (p - 1) + 1
+    _reduce(acc, p, s)
     return acc
 
 

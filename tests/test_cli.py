@@ -470,6 +470,14 @@ def test_primes_bad_range_exits_3(capsys):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("factors", ["2,x", "2,", "2.5"])
+def test_primes_bad_factor_list_exits_3(capsys, factors):
+    assert main(["primes", "--min", "10", "--max", "100", "--factors", factors]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: bad factor list {factors!r}\n"
+
+
 def test_bench_csv_golden(capsys):
     code = main(
         ["bench", "5", "--n", "4", "--variant", "recursive", "--format", "csv", "--trials", "3"]

@@ -122,6 +122,32 @@ def test_is_prime_edge_values():
     assert not is_prime(2**31 - 2)
 
 
+def test_is_prime_against_a_sieve():
+    n = 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [is_prime(q) for q in range(n)] == sieve.tolist()
+
+
+def test_is_prime_witness_sets():
+    # Below 4759123141 the witnesses are (2, 7, 61).  3215031751 is a strong
+    # pseudoprime to 2, 3, 5 and 7, so 61 must catch it; 25326001 is one to
+    # 2, 3 and 5, the twelve-witness set's first three.
+    assert 3215031751 == 151 * 751 * 28351 and not is_prime(3215031751)
+    assert 25326001 == 2251 * 11251 and not is_prime(25326001)
+    # 4759123141 is the least strong pseudoprime to 2, 7 and 61, so only the
+    # twelve-witness set, which starts at that bound, rejects it.
+    assert 4759123141 == 48781 * 97561 and not is_prime(4759123141)
+    # 61 is both a trial divisor and a witness; no witness may be 0 mod q.
+    assert is_prime(61)
+    assert is_prime(2**31 - 1)
+    # A Mersenne prime above the bound takes the twelve-witness path.
+    assert is_prime(2**61 - 1)
+
+
 def test_field_params_validation():
     with pytest.raises(InvalidField):
         FieldParams(10)

@@ -249,6 +249,21 @@ def test_dft_naive_exact_where_products_reach_p_squared():
         assert np.array_equal(idft_naive(plan, got), v)
 
 
+@pytest.mark.parametrize("p, n", [(97, 96), (433, 432), (1459, 18), (P_LARGE, 96)])
+def test_dft_naive_lazy_reduction_matches_definition(p, n):
+    # The oracle reduces only before a pass that could reach 2**63: every
+    # 8th pass at F_97, every 6th at F_433, every 4th at F_1459 and every
+    # pass at P_LARGE.  With every coefficient p - 1, entry n/2
+    # (omega^(n/2) = p - 1) reaches that bound on every pass of the three
+    # small fields and on every other pass at P_LARGE.  At F_1459 one pass
+    # more would reach a value in [2**63, 2**64), so a check one pass late,
+    # or one bit too loose, wraps int64 there.
+    plan = plan_large(n) if p == P_LARGE else plan_transform(FieldParams(p), n)
+    rng = np.random.default_rng(29)
+    for v in (rng.integers(0, p, n), np.full(n, p - 1)):
+        assert dft_naive(plan, v).tolist() == dft_reference(p, plan.omega, v)
+
+
 def test_dft_naive_matches_fft_mixed_radix_2592():
     # n = 2^5 * 3^4 in F_629857: a mixed-radix length in a field whose Horner
     # products stay below p^2 < 2^39.
