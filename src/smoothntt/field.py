@@ -19,23 +19,25 @@ FIELD_MODULUS_LIMIT = 1 << 31
 # Two Miller-Rabin witness sets.  (2, 7, 61) is deterministic for every
 # q < 4,759,123,141 (Jaeschke, Math. Comp. 1993), which covers every field
 # modulus; that bound is the least strong pseudoprime to all three.  The
-# twelve primes up to 37 are deterministic for every q below
-# 318665857834031151167461 = 399165290221 * 798330580441 (about 3.187 * 10**23,
-# the least strong pseudoprime to all twelve; Sorenson & Webster, Math. Comp.
-# 2017), so `Factorization` can check larger primes; from there on a pass
-# means only "probably prime".
+# thirteen primes up to 41 are deterministic for every q below
+# 3317044064679887385961981 = 1287836182261 * 2575672364521 (about
+# 3.317 * 10**24, the least strong pseudoprime to all thirteen; Sorenson &
+# Webster, Math. Comp. 2017), so `Factorization` can check larger primes;
+# from there on a pass means only "probably prime".  41 is in the set
+# because 318665857834031151167461, a strong pseudoprime to the twelve
+# primes up to 37, passes them all.
 _SMALL_WITNESSES = (2, 7, 61)
 _SMALL_WITNESS_LIMIT = 4_759_123_141
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(q: int) -> bool:
-    """Miller-Rabin primality test, exact for every q below 3.187 * 10**23.
+    """Miller-Rabin primality test, exact for every q below 3.317 * 10**24.
 
-    Trial division by the twelve primes up to 37 and by 61 comes first, so
+    Trial division by the thirteen primes up to 41 and by 61 comes first, so
     no witness is 0 mod q.  Then q < 4,759,123,141, every field modulus
-    included, runs the witnesses (2, 7, 61); a larger q runs the twelve
-    primes up to 37, proven below 3.187 * 10**23 and only probable above.
+    included, runs the witnesses (2, 7, 61); a larger q runs the thirteen
+    primes up to 41, proven below 3.317 * 10**24 and only probable above.
 
     q is converted with `operator.index`: a non-integer raises TypeError
     before any test, and a numpy integer is tested as the plain int.

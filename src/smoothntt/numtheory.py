@@ -29,7 +29,7 @@ class Factorization:
 
     The constructor validates a hand-built record: strictly increasing
     primes, each checked by `is_prime`, positive exponents, and a product
-    equal to n.  `is_prime` proves a prime below 3.187 * 10**23; above that
+    equal to n.  `is_prime` proves a prime below 3.317 * 10**24; above that
     it only finds it probably prime, so a larger factor is not proven.  It
     first converts n, each prime and each exponent with
     `operator.index`, so a float raises TypeError and a numpy integer is

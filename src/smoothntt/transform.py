@@ -8,29 +8,32 @@ The staged kernels use the self-sorting (Stockham) layout of Temperton's
 mixed-radix FFTs (J. Comput. Phys., 1983).  The stages run largest radix
 first: r_1 >= r_2 >= ... >= r_s is the plan's schedule sorted that way.
 Before stage k, with L = r_1*...*r_{k-1} and m = n / (L * r_k), the buffer
-is viewed as an (L, r_k, m) array X, and the stage writes an (r_k, L, m)
-view Y of a second buffer whose row l0 + L*l1 is the polynomial
-sum_j X[l0, j, :] * z^j evaluated at z = e1[l1, l0].  Here e1 is the
-omega^k table read with stride m and viewed as (r_k, L), so
-e1[l1, l0] = omega^(m*(l0 + L*l1)) with no copy.  The two buffers then swap
-roles.  After the last stage (L = n, m = 1) the output is in natural order,
-whatever order the stages ran in.  So the schedule as the plan lists it
-sets only the raw-order layout and the set of stages: `raw_order=True`
-returns the output in digit-reversed order for `plan.radices`, as one
-transpose copy (`digit_reverse` maps slots to coefficient indices).
+is viewed as an (L, r_k, m) array X, and the stage writes a second buffer
+whose row l0 + L*l1 is the polynomial sum_j X[l0, j, :] * z^j evaluated at
+z = omega^(m*(l0 + L*l1)).  The stage sees that buffer as Y and the omega^k
+table read with stride m as e1, both with X's axes (l0, l1, column):
+Y[l0, l1] is row l0 + L*l1 (the (r_k, L, m) view with its first two axes
+swapped) and e1[l0, l1] = omega^(m*(l0 + L*l1)), with no copy.  The two
+buffers then swap roles.  After the last stage (L = n, m = 1) the output
+is in natural order, whatever order the stages ran in.  So the schedule
+as the plan lists it sets only the raw-order layout and the set of stages:
+`raw_order=True` returns the output in digit-reversed order for
+`plan.radices`, as one transpose copy (`digit_reverse` maps slots to
+coefficient indices).
 
 A stage evaluates that polynomial by Horner's rule in its first h output
-rows, one row Z = Y[l1] at a time: Z starts as the top leg X[:, r-1, :]
-times omega^0, and each of the r - 1 steps multiplies Z by e1[l1], reduces
-it where the bound below requires, and adds the next lower leg.  The variants differ only in h, and
-`_stage_rows` is the one rule that sets it, for the kernel and for
-`predicted_counts` alike.  A stage costs n * h multiplications by table
-entries, omega^0 included, and n * (r_k - 1) additions.
+rows, one row Z = Y[:, l1] at a time: Z starts as the top leg
+X[:, r-1, :] times omega^0, and each of the r - 1 steps multiplies Z by
+e1[:, l1], reduces it where the bound below requires, and adds the next
+lower leg.  The variants differ only in h, and `_stage_rows` is the one
+rule that sets it, for the kernel and for `predicted_counts` alike.  A
+stage costs n * h multiplications by table entries, omega^0 included, and
+n * (r_k - 1) additions.
 `fft_recursive` takes h = r for every stage, so n * (r_1 + ... + r_s)
 multiplications and n * (r_1 + ... + r_s - s) additions in all.
 `fft_twiddle` takes h = 1 at radix 2, since an order-n omega with even n
-satisfies omega^(n/2 + t) = -omega^t, so e1[1] = -e1[0].  With t the
-reduced product X1 * e1[0], row 0 is X0 + t by Horner and row 1 is X0 - t
+satisfies omega^(n/2 + t) = -omega^t, so e1[:, 1] = -e1[:, 0].  With t the
+reduced product X1 * e1[:, 0], row 0 is X0 + t by Horner and row 1 is X0 - t
 by negation, and the stage costs n multiplications instead of 2n.  Stages
 of radix >= 3 are the same in both.  `ifft` takes no counter and always
 runs the twiddle stages.  Operation counters tally the elements
@@ -76,7 +79,7 @@ either.
 So every reduction computes z - (z // p) * p through a free array of z's
 shape, and the kernel needs no third n-element buffer for it:
 - a Horner step of row l1 reduces through row l1 + 1, which is not yet
-  written; in a twiddle radix-2 stage that is Y[1], which the subtraction
+  written; in a twiddle radix-2 stage that is Y[:, 1], which the subtraction
   fills afterwards;
 - the reduce-first pass reduces the stage input through the output buffer;
 - the final reduction, and the inverse's n^-1 scaling with it, goes
@@ -96,9 +99,8 @@ copy of its input and the stage output; only the reduce-first pass writes
 a stage's input.  `cyclic_convolve_via_fft`
 peaks at three n-element buffers: its second forward call holds U beside
 its own two, and its inverse runs on the product it owns in U, with V as
-the reduction scratch and one stage output, through `_run_stages` and
-`_reduce_output` directly, so the product is neither checked nor copied
-again.
+the reduction scratch and one stage output, through `_run_stages`
+directly, so the product is neither checked nor copied again.
 
 The narrow tail stages run transposed (Van Loan, "Computational
 Frameworks for the Fast Fourier Transform", SIAM, 1992).  A late stage has
@@ -108,11 +110,11 @@ L = n / (r*m) >= 4096), the kernel copies the (L, r*m) buffer once into
 the free buffer as its (r*m, L) transpose, 1024 columns at a time
 (`_copy_blocks`).  The stages from there on take
 X = x.reshape(r, m, L).transpose(2, 0, 1) and
-Y = y.reshape(m, r, L).transpose(1, 2, 0), the same (L, r, m) and
-(r, L, m) index spaces with L now contiguous, and the same e1.  So
-`_stage` does not change and numpy iterates over L innermost.  Each stage
-writes the transpose of the next stage's layout, and after the m = 1 stage
-the buffer is in natural order.  Three limits hold; each was measured by
+Y = y.reshape(m, r, L).transpose(2, 1, 0), the same index spaces with
+the l0 axis now contiguous, and the same e1.  So `_stage` does not change
+and numpy iterates over l0 innermost.  Each stage writes the transpose of
+the next stage's layout, and after the m = 1 stage the buffer is in
+natural order.  Three limits hold; each was measured by
 lifting it alone (numpy 2.4.6, 2-core x86-64 host):
 - the n >= 2**17 gate: ungated, F_97 ran 1.25-1.30x and F_3457
   1.02-1.04x slower (medians of 41 interleaved calls);
@@ -126,24 +128,23 @@ numpy releases the GIL inside a ufunc, so a second core can run half of
 each stage (the threaded loops of Frigo and Johnson's FFTW3, Proc. IEEE,
 2005).  For n >= 2**17, when the process may run on two or more CPUs
 (`os.sched_getaffinity`; n is tested first, so a small transform makes no
-syscall), every stage is split into two disjoint halves:
-- an untransposed stage with L >= 4 splits its rows l0: X[:a], Y[:, :a]
-  and e1[:, :a] with a = L // 2, and the rest;
-- an untransposed stage with L < 4 splits its columns: X[..., :a] and
-  Y[..., :a] with a = m // 2, and the rest, both reading all of e1, so
-  the L = 3 stage does not give the worker two rows of three;
-- a transposed stage splits its columns while m >= 2, and its rows l0 at
-  m = 1;
-- the reduce-first pass, the transpose copy and the output reduction
-  (with the inverse's n^-1 scaling) split their arrays into first and
-  second halves.
-Each half is the same Horner stage, `_stage`, on views: it writes only its
-own part of Y and reads only its own part of X, so the halves never touch
-the same element.  The caller hands the second half to one persistent
-daemon worker thread, runs the first and waits for both; an exception in
-either half is raised in the caller.  The bound B and the counters are
-kept by the caller, per whole stage, so the outputs are bit-identical
-and the counts unchanged.  Below 2**17, or on one CPU, each
+syscall), every stage and every pass is split into two disjoint halves by
+one rule, `_halves`: each array it is given is cut along its first axis at
+a = len // 2, and an array whose first axis has length 1 goes whole to both
+halves.  A stage hands it X, Y and e1, so it splits its rows l0, each half
+with its own part of e1.  An untransposed stage with L < 4, and a
+transposed stage while m >= 2, hands it the three views with their axes
+reversed, so it splits its columns and both halves read all of e1, whose
+column axis has length 1; so the L = 3 stage does not give the worker two
+rows of three.  The reduce-first pass, the transpose copy and the output
+reduction (with the inverse's n^-1 scaling) hand it their flat or 2-D
+arrays.  Each half of a stage is the same Horner stage, `_stage`, on views:
+it writes only its own part of Y and reads only its own part of X, so the
+halves never touch the same element.  The caller hands the second half to
+one persistent daemon worker thread, runs the first and waits for both; an
+exception in either half is raised in the caller.  The bound B and the
+counters are kept by the caller, per whole stage, so the outputs are
+bit-identical and the counts unchanged.  Below 2**17, or on one CPU, each
 stage runs whole in the caller: at n = 2**16 (F_65537, numpy 2.4.6,
 2-core x86-64 host) split stages made `fft_twiddle` 1.15x and `ifft`
 1.17x slower, and with the process held to one CPU (`taskset -c 0`) they
@@ -417,8 +418,13 @@ def _run_stages(
     x: np.ndarray,
     variant: str,
     counter: OpCounts | None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The unreduced output, |entry| * p < 2**63, the free buffer and whether the stages split."""
+    inverse: bool,
+) -> np.ndarray:
+    """The transform of the residues in x, reduced, or its inverse when inverse.
+
+    x is the kernel's own buffer: the stages overwrite it, and the result is
+    written into it or into the stage output buffer.
+    """
     p, n, table = plan.p, plan.n, plan.twiddles
     y = np.empty(n, dtype=np.int64)
     # Split each stage in two above 2**17 on two or more CPUs (module docstring).
@@ -441,58 +447,53 @@ def _run_stages(
             x, y, transposed = y, x, True
         if transposed:
             X = x.reshape(r, m, L).transpose(2, 0, 1)
-            Y = y.reshape(m, r, L).transpose(1, 2, 0)
+            Y = y.reshape(m, r, L).transpose(2, 1, 0)
         else:
             X = x.reshape(L, r, m)
-            Y = y.reshape(r, L, m)
-        # e1[l1, l0] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
-        # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l1, l0].
-        e1 = table[::m].reshape(r, L, 1)
+            Y = y.reshape(r, L, m).transpose(1, 0, 2)
+        # e1[l0, l1] = omega^(m * (l0 + L*l1)): output row l0 + L*l1 is the
+        # polynomial sum_j X[l0, j] z^j evaluated at z = e1[l0, l1].
+        e1 = table[::m].reshape(r, L, 1).transpose(1, 0, 2)
+        if split and (m > 1 if transposed else L < 4):  # halve the columns, which share e1
+            X, Y, e1 = (a.transpose(2, 1, 0) for a in (X, Y, e1))
         h = _stage_rows(variant, r)
-        rest = (r, h, p, table[0], bound)
-        if not split:
-            _stage(X, Y, e1, *rest)
-        elif (m > 1 if transposed else L < 4):  # halve the columns, which share e1 ...
-            a = m // 2
-            _in_two(_stage, (X[..., :a], Y[..., :a], e1, *rest), (X[..., a:], Y[..., a:], e1, *rest))
-        else:  # ... or the rows l0
-            a = L // 2
-            _in_two(_stage, (X[:a], Y[:, :a], e1[:, :a], *rest), (X[a:], Y[:, a:], e1[:, a:], *rest))
+        _halves(split, _stage, X, Y, e1, r, h, p, table[0], bound)
         if counter is not None:
-            counter.multiplications += Y[:h].size * r
-            counter.additions += Y[:h].size * (r - 1) + Y[h:].size
+            counter.multiplications += Y[:, :h].size * r
+            counter.additions += Y[:, :h].size * (r - 1) + Y[:, h:].size
         # Every output is a residue plus or minus an input entry.
         bound += p
         x, y = y, x
         L *= r
-    return x, y, split
+    return _reduce_output(plan, x, y, split, inverse)
 
 
 def _stage(
     X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, one, bound: int
 ) -> None:
-    """One Horner stage from the (L, r, m) view X into the (r, L, m) view Y.
+    """One Horner stage from the (l0, j, column) view X into the (l0, l1, column) view Y.
 
-    The views may have any strides: the transposed tail stages pass views
-    whose L axis is contiguous, so numpy iterates over it innermost.
-    Horner's rule on the first h rows, one row at a time, seeded with the
-    top leg times one = omega^0 as the counts assume.  bound is the
-    exclusive bound on |entry| of X.  A step reduces Z only when it is the
-    last or when the next step's product could reach 2**63, so every row
-    ends reduced and each output stays below bound + p.  A twiddle radix-2
-    stage evaluates row 0 only; row 1 is X0 - X1 * e1[0], since
-    e1[1] = -e1[0].
+    e1 is the (l0, l1, 1) view of the stage's twiddles.  The views may have
+    any strides, and the l0 and column axes may trade places in all three
+    at once: `_stage` only indexes the middle axis, so a column split
+    passes them reversed and `_halves` cuts the columns.  Horner's rule on
+    the first h rows, one row at a time, seeded with the top leg times
+    one = omega^0 as the counts assume.  bound is the exclusive bound on
+    |entry| of X.  A step reduces Z only when it is the last or when the
+    next step's product could reach 2**63, so every row ends reduced and
+    each output stays below bound + p.  A twiddle radix-2 stage evaluates
+    row 0 only; row 1 is X0 - X1 * e1[:, 0], since e1[:, 1] = -e1[:, 0].
     """
     for l1 in range(h):
-        Z = Y[l1]
+        Z = Y[:, l1]
         np.multiply(X[:, r - 1, :], one, out=Z)
         b = bound  # exclusive bound on |Z|
         for j in range(r - 2, -1, -1):
-            Z *= e1[l1]
+            Z *= e1[:, l1]
             b *= p
             if j == 0 or (b + bound) * p >= 2**63:
                 if l1 + 1 < r:
-                    _reduce(Z, p, Y[l1 + 1])  # row l1 + 1 is not yet written
+                    _reduce(Z, p, Y[:, l1 + 1])  # row l1 + 1 is not yet written
                 else:
                     Z %= p  # nonnegative; no row of Y is free
                 b = p
@@ -500,7 +501,7 @@ def _stage(
                 Z += X[:, j, :]
                 b += bound
         if h < r:
-            np.subtract(X[:, 0, :], Z, out=Y[1])
+            np.subtract(X[:, 0, :], Z, out=Y[:, 1])
         Z += X[:, 0, :]
 
 
@@ -527,28 +528,24 @@ def _copy_blocks(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 def _halves(split: bool, fn, *args) -> None:
-    """fn(*args), or when split, fn on the first and on the second half of each array in args.
+    """fn(*args), or when split, fn on the first half of each array here and on the second on the stage worker.
 
-    An array is halved along its first axis; any other argument goes to both.
+    The one rule that splits work: an array is halved along its first axis
+    at len // 2, unless that axis has length 1; such an array, and any other
+    argument, goes whole to both halves.  Both halves are done on return,
+    and an exception from either is raised here, after both have stopped.
     """
-    if split:
-        pairs = [(a[: len(a) // 2], a[len(a) // 2 :]) if isinstance(a, np.ndarray) else (a, a) for a in args]
-        _in_two(fn, *zip(*pairs))
-    else:
+    if not split:
         fn(*args)
-
-
-def _in_two(fn, first: tuple, second: tuple) -> None:
-    """fn(*first) in this thread and fn(*second) on the stage worker, both done on return.
-
-    An exception from either half is raised here, after both have stopped.
-    """
+        return
     global _worker
     # A forked child inherits its parent's record of the worker, not the
     # thread.  Two callers may race to start it; a second worker is harmless.
     if _worker is None or not _worker.is_alive():
         _worker = threading.Thread(target=_serve, name="smoothntt-stages", daemon=True)
         _worker.start()
+    pairs = [(a[: len(a) // 2], a[len(a) // 2 :]) if isinstance(a, np.ndarray) and len(a) > 1 else (a, a) for a in args]
+    first, second = zip(*pairs)
     done = queue.SimpleQueue()  # one per job, so callers can share the worker
     _inbox.put((fn, second, done))
     try:
@@ -616,11 +613,10 @@ def _transform(
     inverse: bool = False,
 ) -> np.ndarray:
     # Always a private copy: the staged kernels use it as a working buffer
-    # and leave unreduced, possibly negative, entries in it.
+    # and leave unreduced, possibly negative, entries in it.  The free
+    # buffer goes when _run_stages returns, before the raw-order copy.
     x = _coerce_vector(v, plan.n, plan.p).astype(np.int64, copy=True)
-    x, s, split = _run_stages(plan, x, variant, counter)
-    x = _reduce_output(plan, x, s, split, inverse)
-    del s  # the free buffer goes before the raw-order copy
+    x = _run_stages(plan, x, variant, counter, inverse)
     if raw_order:
         # Slot (d_1, ..., d_s) holds the coefficient with digits (d_s, ..., d_1),
         # the index digit_reverse(plan.radices, slot), as one transpose copy.
@@ -721,4 +717,4 @@ def cyclic_convolve_via_fft(plan: TransformPlan, u, v) -> np.ndarray:
     _reduce(U, plan.p, V)
     # U holds residues it owns, the kernel's entry condition, so the inverse
     # stages run on U itself: no second check and no copy.
-    return _reduce_output(plan, *_run_stages(plan, U, TWIDDLE, None), inverse=True)
+    return _run_stages(plan, U, TWIDDLE, None, inverse=True)

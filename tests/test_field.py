@@ -135,17 +135,21 @@ def test_is_prime_against_a_sieve():
 def test_is_prime_witness_sets():
     # Below 4759123141 the witnesses are (2, 7, 61).  3215031751 is a strong
     # pseudoprime to 2, 3, 5 and 7, so 61 must catch it; 25326001 is one to
-    # 2, 3 and 5, the twelve-witness set's first three.
+    # 2, 3 and 5, the thirteen-witness set's first three.
     assert 3215031751 == 151 * 751 * 28351 and not is_prime(3215031751)
     assert 25326001 == 2251 * 11251 and not is_prime(25326001)
     # 4759123141 is the least strong pseudoprime to 2, 7 and 61, so only the
-    # twelve-witness set, which starts at that bound, rejects it.
+    # thirteen-witness set, which starts at that bound, rejects it.
     assert 4759123141 == 48781 * 97561 and not is_prime(4759123141)
     # 61 is both a trial divisor and a witness; no witness may be 0 mod q.
     assert is_prime(61)
     assert is_prime(2**31 - 1)
-    # A Mersenne prime above the bound takes the twelve-witness path.
+    # A Mersenne prime above the bound takes the thirteen-witness path.
     assert is_prime(2**61 - 1)
+    # The least strong pseudoprime to the twelve primes up to 37; only the
+    # witness 41 rejects it.
+    q = 318665857834031151167461
+    assert q == 399165290221 * 798330580441 and not is_prime(q)
 
 
 def test_field_params_validation():

@@ -952,11 +952,15 @@ def assert_same_runs(got, expected):
             assert got[key] == expected[key], key
 
 
-@pytest.mark.parametrize("p, n, g", [(786433, 786432, None), (1811939329, 2**17 * 3, 13)])
+@pytest.mark.parametrize(
+    "p, n, g", [(786433, 786432, None), (1811939329, 2**17 * 3, 13), (472393, 472392, None)]
+)
 def test_split_stages_match_inline_stages(monkeypatch, p, n, g):
     # F_786433 (n = 2^18 * 3) splits the columns of its first stage, then the
     # rows of 18 radix-2 stages.  At p = 2^26 * 27 + 1 every stage after the
     # first reduces its input first, so the reduce-first pass runs split too.
+    # F_472393 (n = 2^3 * 3^10) splits rows with odd L, and its transposed
+    # tail starts in a radix-3 stage.
     omega = None if g is None else pow(g, (p - 1) // n, p)
     plan = plan_transform(FieldParams(p), n, omega=omega)
     rng = np.random.default_rng(30)
@@ -1047,6 +1051,31 @@ def test_small_transforms_start_no_thread():
         "from smoothntt.transform import cyclic_convolve_via_fft, fft_recursive, fft_twiddle, ifft, plan_transform\n"
         "plan = plan_transform(FieldParams(65537), 65536)\n"
         "v = list(range(65536))\n"
+        "fft_recursive(plan, v)\n"
+        "ifft(plan, fft_twiddle(plan, v, raw_order=True))\n"
+        "cyclic_convolve_via_fft(plan, v, v)\n"
+        "print(threading.active_count())\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_one_cpu_starts_no_thread():
+    # At n >= 2^17 the stages split only when the process may run on two or
+    # more CPUs; held to one, every stage and pass runs whole in the caller.
+    code = (
+        "import os, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from smoothntt import FieldParams\n"
+        "from smoothntt.transform import cyclic_convolve_via_fft, fft_recursive, fft_twiddle, ifft, plan_transform\n"
+        "plan = plan_transform(FieldParams(147457), 147456)\n"
+        "v = list(range(147456))\n"
         "fft_recursive(plan, v)\n"
         "ifft(plan, fft_twiddle(plan, v, raw_order=True))\n"
         "cyclic_convolve_via_fft(plan, v, v)\n"
