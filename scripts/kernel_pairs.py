@@ -17,8 +17,10 @@ time: n = 2592 in F_629857 and n = 4608 in F_147457.  `--cli` times
 "--inverse"])` on one F_147457 file of n = 147456 residues, the size of
 the `cli_file` benchmark workload, written once; it stops with an error
 unless both sides exit 0 and write byte-identical files.  Prints one row
-per field and call: each side's median and quartiles in ms, the ratio of
-medians and the number of reps the change ran faster:
+per field and call: each side's median and quartiles in ms and its median
+minor page faults per call (`getrusage(RUSAGE_SELF).ru_minflt` deltas, all
+threads of the process), the ratio of median times and the number of reps
+the change ran faster:
 
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --reps 21
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --oracle --reps 11
@@ -30,6 +32,7 @@ A checkout against itself is a noise floor: its ratios scatter around 1.
 import argparse
 import importlib.util
 import operator
+import resource
 import sys
 import tempfile
 import time
@@ -57,33 +60,37 @@ def load_package(checkout: str, name: str):
     return module
 
 
-def timed(fn, *args) -> tuple[float, object]:
+def timed(fn, *args) -> tuple[float, int, object]:
+    """(ms, minor page faults, output) of one call fn(*args)."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter_ns()
     out = fn(*args)
-    return (time.perf_counter_ns() - start) / 1e6, out
+    ms = (time.perf_counter_ns() - start) / 1e6
+    return ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, out
 
 
 def interleave(calls, reps: int, p: int, run, same) -> dict[str, list]:
-    """Per call, `reps` (base_ms, change_ms) pairs from run(call, side).
+    """Per call, `reps` (base_ms, change_ms, base_faults, change_faults) rows.
 
-    run returns (ms, output); the side that runs first alternates by rep,
-    and the run stops unless same(base_output, change_output).
+    run(call, side) returns (ms, minor faults, output); the side that runs
+    first alternates by rep, and the run stops unless
+    same(base_output, change_output).
     """
     pairs = {call: [] for call in calls}
     for rep in range(reps):
         for call in calls:
             order = (0, 1) if rep % 2 == 0 else (1, 0)
-            ms, outs = [0.0, 0.0], [None, None]
+            ms, faults, outs = [0.0, 0.0], [0, 0], [None, None]
             for side in order:
-                ms[side], outs[side] = run(call, side)
+                ms[side], faults[side], outs[side] = run(call, side)
             if not same(outs[0], outs[1]):
                 raise SystemExit(f"error: {call} outputs differ on F_{p} (rep {rep})")
-            pairs[call].append(tuple(ms))
+            pairs[call].append((*ms, *faults))
     return pairs
 
 
 def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
-    """Per call, `reps` (base_ms, change_ms) pairs on F_p at length n."""
+    """Per call, `reps` interleave() rows on F_p at length n."""
     base_plan = base.plan_transform(base.FieldParams(p), n)
     change_plan = change.plan_transform(
         change.FieldParams(p), n, omega=base_plan.omega, radices=base_plan.radices
@@ -108,7 +115,7 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
 
 
 def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
-    """Per call, `reps` (base_ms, change_ms) pairs of `transform` on one file."""
+    """Per call, `reps` interleave() rows of `transform` on one file."""
     clis = [importlib.import_module(f"{module.__name__}.cli") for module in (base, change)]
     with tempfile.TemporaryDirectory() as tmp:
         src = str(Path(tmp) / "input.vec")
@@ -123,10 +130,10 @@ def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, l
         def run(call, side):
             argv = argvs[call][side]
             Path(argv[2]).unlink(missing_ok=True)
-            ms, code = timed(clis[side].main, argv)
+            ms, faults, code = timed(clis[side].main, argv)
             if code != 0:
                 raise SystemExit(f"error: {call} exited {code} on F_{p}")
-            return ms, Path(argv[2]).read_bytes()
+            return ms, faults, Path(argv[2]).read_bytes()
 
         return interleave(calls, reps, p, run, operator.eq)
 
@@ -156,15 +163,18 @@ def main(argv: list[str] | None = None) -> int:
         cases = [(run_pairs, p, p - 1, KERNEL_CALLS) for p in args.fields]
     base = load_package(args.base_dir, "smoothntt_base")
     change = load_package(args.change_dir, "smoothntt_change")
-    print("field call base_ms_p50 [q1, q3] change_ms_p50 [q1, q3] ratio wins")
+    print(
+        "field call base_ms_p50 [q1, q3] base_minflt_p50"
+        " change_ms_p50 [q1, q3] change_minflt_p50 ratio wins"
+    )
     for runner, p, n, calls in cases:
         for call, pairs in runner(base, change, p, n, calls, args.reps).items():
-            b, c = zip(*pairs)
-            wins = sum(cm < bm for bm, cm in pairs)
+            b, c, bf, cf = zip(*pairs)
+            wins = sum(cm < bm for bm, cm, *_ in pairs)
             ratio = np.median(c) / np.median(b)
             print(
-                f"F_{p} {call} {quartiles(b)} {quartiles(c)} "
-                f"{ratio:.3f} {wins}/{args.reps}"
+                f"F_{p} {call} {quartiles(b)} {np.median(bf):.0f} {quartiles(c)}"
+                f" {np.median(cf):.0f} {ratio:.3f} {wins}/{args.reps}"
             )
     return 0
 

@@ -5,17 +5,21 @@ by exactly n lines, each one canonical decimal residue in [0, p).  Every
 line ends with a single linefeed and there are no trailing blank lines, so
 valid files round-trip byte-identically.
 
-`read_vector_file` checks the header field by field and the body in one
-vectorized pass over its bytes; the first bad line, if any, is then parsed
-on its own, so the error names that line as a line-by-line parser would.
-The values come back as the int64 array that body check built, and
-`transform` hands that array to the kernel unconverted.
-`write_vector_file` formats every entry in one vectorized pass and raises
-`InvalidField` unless p is a supported prime modulus and `NotReduced` unless
-the entries are a 1-D vector of integer residues in [0, p), so each file it
-writes reads back.  The residue check is the kernels' own
-(`transform._coerce_vector`); the writer adds only the 1-D test, which keeps
-a 2-D array a `NotReduced` error, and the empty case.
+Both codecs work through the body in blocks of `_BLOCK` lines, with
+vectorized digit loops over scratch arrays that each call allocates once and
+reuses for every block, so apart from the file's bytes and the value array
+their memory is O(block), not O(n).  `read_vector_file` checks the header
+field by field and the line count against it, then checks and parses each
+block; the first bad line, if any, is then parsed on its own, so the error
+names that line as a line-by-line parser would.  The values come back as the
+int64 array the blocks filled, and `transform` hands that array to the
+kernel unconverted.  `write_vector_file` raises `InvalidField` unless p is a
+supported prime modulus and `NotReduced` unless the entries are a 1-D vector
+of integer residues in [0, p), so each file it writes reads back; only then
+does it open the file and format and write it block by block.  The residue
+check is the kernels' own (`transform._coerce_vector`); the writer adds only
+the 1-D test, which keeps a 2-D array a `NotReduced` error, and the empty
+case.
 
 `transform` runs `fft_twiddle` forward and `ifft` with --inverse.
 
@@ -37,6 +41,7 @@ from .transform import TWIDDLE, VARIANTS, _coerce_vector, fft_twiddle, ifft, pla
 
 _MAGIC = "ntt-vec"
 _VERSION = "1"
+_BLOCK = 16384  # lines per codec block, whose scratch stays well inside a 2 MiB L2
 _RADICES_HELP = (
     "comma-separated radix schedule, e.g. 2,2,3: sets the raw-order layout"
     " and the stage set; the stages run largest radix first"
@@ -50,10 +55,13 @@ _VARIANT_HELP = (
 def read_vector_file(path: str) -> tuple[int, np.ndarray]:
     """Parse a vector file, returning (p, values). Raises VectorFileError.
 
-    The header is checked field by field.  The body is checked in one
-    vectorized pass over its bytes; the first bad line, if any, then goes
-    through the per-line check, which raises that line's message.  `values`
-    is the 1-D int64 array of residues that pass built.
+    The header is checked field by field and the line count against it
+    before any n-sized allocation.  The body is then checked and parsed in
+    blocks of `_BLOCK` lines, with scratch arrays allocated once per call, so
+    beyond the file's bytes and the returned array the memory used is
+    O(block).  The first bad line, if any, goes through the per-line check,
+    which raises that line's message.  `values` is the 1-D int64 array of
+    residues the blocks filled.
     """
     try:
         with open(path, "rb") as fh:
@@ -75,34 +83,83 @@ def read_vector_file(path: str) -> tuple[int, np.ndarray]:
         FieldParams(p)
     except InvalidField as exc:
         raise VectorFileError(f"{path}: header {exc}") from exc
-    buf = np.frombuffer(raw, np.uint8, offset=body)
-    ends = np.flatnonzero(buf == 10)
-    if len(ends) != n:
-        raise VectorFileError(f"{path}: header declares {n} values, found {len(ends)}")
-    lengths = np.diff(ends, prepend=-1) - 1
+    # Counted in chunks before any n-sized allocation, so a header that
+    # overstates n gets this message rather than a huge np.empty.
+    buf = np.frombuffer(raw, np.uint8)
+    chunk = 4 * _BLOCK
+    found = sum(np.count_nonzero(buf[i : i + chunk] == 10) for i in range(body, len(buf), chunk))
+    if found != n:
+        raise VectorFileError(f"{path}: header declares {n} values, found {found}")
     width = len(str(p - 1))
-    # A line is bad exactly when _parse_decimal rejects it or its value is
-    # >= p: it is empty, has more digits than p - 1, has a leading 0 before
-    # more digits, holds a byte outside 0-9, or is too large.  Digits are
-    # read from the last `width` bytes of each line, all of a line that is
-    # not already bad for its length.
-    bad = (lengths == 0) | (lengths > width)
-    bad |= (buf.take(ends - lengths, mode="clip") == 48) & (lengths > 1)
-    values = np.zeros(len(ends), np.int64)
-    for k in range(width, 0, -1):
-        digit = buf.take(ends - k, mode="clip") - 48  # uint8: wraps below "0"
-        digit *= lengths >= k  # bytes before the line start
-        bad |= digit > 9
-        values *= 10
-        values += digit
-    bad |= values >= p
-    if bad.any():
-        i = bad.argmax()
-        end = body + int(ends[i])
-        line = raw[end - int(lengths[i]) : end].decode("ascii")
-        value = _parse_decimal(line, path)
-        raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
+    values = np.empty(n, np.int64)
+    # Scratch: the window's linefeed flags, then per line a length, an index,
+    # a byte, two flags and the value so far, which fits int32 up to 9 digits
+    # and so halves the Horner loop's traffic.
+    acc_type = np.int32 if width < 10 else np.int64
+    specs = ((bool, width + 1), (np.uint8,), (np.int64,), (np.uint8,), (bool,), (bool,), (acc_type,))
+    start = body  # buf offset of the block's first line
+    for lo, (hits, *scratch) in _blocks(n, *specs):
+        # A block of m lines of at most `width` digits lies in its first
+        # m * (width + 1) bytes.  When that window holds fewer than m line
+        # ends, the line after the last one found is longer than `width`:
+        # a stand-in end just past the window marks it bad for its length.
+        m = len(hits)
+        window = buf[start : start + hits.size]
+        ends = np.flatnonzero(np.equal(window, 10, out=hits.ravel()[: len(window)]))[:m]
+        if len(ends) < m:
+            ends = np.append(ends, len(window))
+        ends += start
+        lengths, pos, digit, bad, mask, acc = (a[: len(ends)] for a in scratch)
+        # Line lengths, capped at width + 1 so that uint8 holds them.
+        np.subtract(ends[1:], ends[:-1], out=pos[1:])
+        pos[0] = ends[0] - start + 1
+        np.minimum(pos, width + 2, out=lengths, casting="unsafe")
+        lengths -= 1
+        # A line is bad exactly when _parse_decimal rejects it or its value is
+        # >= p: it is empty, has more digits than p - 1, has a leading 0 before
+        # more digits, holds a byte outside 0-9, or is too large.  Digits are
+        # read from the last `width` bytes of each line, all of a line that is
+        # not already bad for its length; the header's bytes, more than
+        # `width`, keep every such index inside buf.
+        np.equal(lengths, 0, out=bad)
+        bad |= np.greater(lengths, width, out=mask)
+        buf[1:].take(ends[:-1], out=digit[1:])  # each line's first byte
+        digit[0] = buf[start]
+        np.equal(digit, 48, out=mask)
+        mask &= lengths > 1
+        bad |= mask
+        acc.fill(0)
+        np.subtract(ends, width, out=pos)
+        for k in range(width, 0, -1):
+            buf[width - k :].take(pos, out=digit)  # the bytes at ends - k
+            digit -= 48  # uint8: wraps below "0"
+            digit *= np.greater_equal(lengths, k, out=mask)  # bytes before the line start
+            bad |= np.greater(digit, 9, out=mask)
+            acc *= 10
+            acc += digit
+        bad |= np.greater_equal(acc, p, out=mask)
+        if bad.any():
+            i = bad.argmax()
+            first = int(ends[i - 1]) + 1 if i else start
+            line = raw[first : raw.index(b"\n", first)].decode("ascii")
+            value = _parse_decimal(line, path)
+            raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
+        values[lo : lo + m] = acc
+        start = int(ends[-1]) + 1
     return p, values
+
+
+def _blocks(n: int, *specs):
+    """Yield (lo, scratch) for each block of `_BLOCK` lines of an n-line body.
+
+    Each spec is a (dtype, *columns) tuple.  Its array, with room for one
+    block, is allocated once per call; scratch holds each array's first
+    min(_BLOCK, n - lo) rows, the block that starts at line lo.
+    """
+    rows = min(n, _BLOCK)
+    arrays = [np.empty((rows, *columns), dtype) for dtype, *columns in specs]
+    for lo in range(0, n, _BLOCK):
+        yield lo, [a[: n - lo] for a in arrays]
 
 
 def _parse_decimal(token: str, path: str) -> int:
@@ -115,14 +172,17 @@ def _parse_decimal(token: str, path: str) -> int:
 
 
 def write_vector_file(path: str, p: int, values) -> None:
-    """Write a vector file in one vectorized pass over its decimal digits.
+    """Write a vector file, formatting its decimal digits in blocks.
 
     Before the file is opened, raises InvalidField unless p is a prime in
     (2, 2**31), and NotReduced unless `values` is a 1-D integer array or
     sequence of residues in [0, p), so every file written reads back.  That
     NotReduced comes from the kernels' check, `transform._coerce_vector`,
     for every non-empty 1-D input; an empty sequence writes an n = 0 file.
-    Raises VectorFileError when the path cannot be written.
+    The digits of each block of `_BLOCK` entries are formatted into scratch
+    arrays allocated once per call and written straight from them, so beyond
+    the input the memory used is O(block).  Raises VectorFileError when the
+    path cannot be written.
     """
     p = FieldParams(p).p
     arr = np.asarray(values)
@@ -131,24 +191,28 @@ def write_vector_file(path: str, p: int, values) -> None:
     if len(arr):  # [] is float64 to numpy, yet it writes an n = 0 file
         _coerce_vector(arr, len(arr), p)
     width = len(str(p - 1))
-    # Row i holds entry i right-aligned in `width` digit columns and a final
-    # linefeed; `keep` drops the zeros left of its first significant digit.
-    rows = np.full((len(arr), width + 1), 10, np.uint8)
-    keep = np.ones(rows.shape, bool)
-    q = arr.astype(np.int64)
-    s = np.empty_like(q)
-    for j in range(width - 1, -1, -1):
-        np.greater(q, 0, out=keep[:, j])
-        np.floor_divide(q, 10, out=s)
-        q -= s * 10
-        q += 48
-        rows[:, j] = q
-        q, s = s, q
-    keep[:, width - 1] = True  # an entry of 0 still writes its units digit
-    data = f"{_MAGIC} {_VERSION} {p} {len(arr)}\n".encode("ascii") + rows[keep].tobytes()
+    # Row i of a block holds its entry i right-aligned in `width` digit
+    # columns and a final linefeed; `keep` drops the zeros left of the first
+    # significant digit.  Every entry is a residue below p < 2**31, so the
+    # int32 scratch q, s and t holds it.
+    specs = ((np.uint8, width + 1), (bool, width + 1), (np.int32,), (np.int32,), (np.int32,))
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.write(f"{_MAGIC} {_VERSION} {p} {len(arr)}\n".encode("ascii"))
+            for lo, (rows, keep, q, s, t) in _blocks(len(arr), *specs):
+                if lo == 0:  # columns no block overwrites
+                    rows[:, width] = 10
+                    keep[:, width - 1] = keep[:, width] = True  # 0 writes its units digit
+                q[:] = arr[lo : lo + len(q)]
+                for j in range(width - 1, -1, -1):
+                    np.floor_divide(q, 10, out=s)
+                    np.multiply(s, 10, out=t)
+                    np.subtract(q, t, out=t)
+                    np.add(t, 48, out=rows[:, j], casting="unsafe")
+                    q, s = s, q
+                    if j:
+                        np.greater(q, 0, out=keep[:, j - 1])
+                fh.write(rows.ravel().compress(keep.ravel()))
     except OSError as exc:
         raise VectorFileError(f"cannot write {path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, vector file round trips, golden outputs."""
 
 import argparse
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,3 +513,75 @@ def test_bench_nonpositive_trials(capsys, trials):
     assert main(["bench", "97", "--trials", trials]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trials" in err
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("p", DIFF_MODULI)
+def test_codec_matches_references_at_small_blocks(tmp_path, monkeypatch, p, block):
+    # Blocks of 1, 2 and 3 lines put a block boundary beside nearly every
+    # line of these files, and make most too-long lines overrun their
+    # block's byte window.
+    monkeypatch.setattr(smoothntt.cli, "_BLOCK", block)
+    test_reader_matches_per_line_reference(tmp_path, p)
+    test_writer_matches_str_join(tmp_path, p)
+
+
+@pytest.mark.parametrize(
+    "low", [pytest.param(0, id="uniform"), pytest.param(10**5, id="six-digit")]
+)
+def test_full_length_file_spans_blocks(tmp_path, low):
+    # F_147457 at n = 147456 is nine blocks.  With six-digit residues the
+    # lines of a block fill its byte window exactly, so a longer line
+    # overruns it.
+    p, n = 147457, 147456
+    block = smoothntt.cli._BLOCK
+    assert n > 2 * block
+    values = np.random.default_rng(n + low).integers(low, p, n)
+    values[-2:] = [0, p - 1]
+    lines = [str(v) for v in values.tolist()]
+    header = f"ntt-vec 1 {p} {n}"
+    path = tmp_path / "v.txt"
+    write_vector_file(path, p, values)
+    assert path.read_bytes() == ("\n".join([header] + lines) + "\n").encode()
+    assert outcome(read_vector_file, path) == (p, values.tolist())
+    # A non-canonical line opening the second block, and one in the last
+    # block longer than p - 1.
+    for i, bad in ((block, "0" + lines[block]), (n - 5, "0000000" + lines[n - 5])):
+        body = lines[:i] + [bad] + lines[i + 1 :]
+        write_text(path, "\n".join([header] + body) + "\n")
+        expected = (VectorFileError, f"{path}: {bad!r} is not a canonical decimal")
+        assert outcome(read_vector_file, path) == outcome(reference_read, path) == expected
+        # The count check comes first: one line too many hides the bad line.
+        write_text(path, "\n".join([header] + body + ["1"]) + "\n")
+        expected = (VectorFileError, f"{path}: header declares {n} values, found {n + 1}")
+        assert outcome(read_vector_file, path) == outcome(reference_read, path) == expected
+
+
+# What the codecs allocate beyond their input, output and file bytes, which
+# does not grow with n.  Measured with numpy 2.4.6 at both sizes below: the
+# writer peaks 1.31 MiB over its input and the reader 0.69 MiB over the file's
+# bytes plus the 8n-byte value array, where formatting or parsing the whole
+# vector at once took 6.0 and 3.8 MiB at n = 147456, four times that at 4n.
+CODEC_SCRATCH_BYTES = 2 * 2**20
+
+
+@pytest.mark.parametrize("n", [147456, 4 * 147456])
+def test_codec_memory_does_not_grow_with_n(tmp_path, n):
+    p = 147457
+    path = tmp_path / "v.txt"
+    tracemalloc.start()
+    try:
+        values = np.random.default_rng(n).integers(0, p, n)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_vector_file(path, p, values)
+        write_extra = tracemalloc.get_traced_memory()[1] - before
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, back = read_vector_file(path)
+        read_extra = tracemalloc.get_traced_memory()[1] - before - path.stat().st_size - 8 * n
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, values)
+    assert write_extra < CODEC_SCRATCH_BYTES
+    assert read_extra < CODEC_SCRATCH_BYTES

@@ -156,3 +156,14 @@ def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
     )
     assert proc.returncode != 0
     assert "fft_recursive outputs differ on F_3457" in proc.stderr
+
+
+def test_kernel_pairs_cli_prints_minor_faults():
+    out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
+    assert len(rows) == 2
+    for row in rows:
+        # Each side's median getrusage ru_minflt delta per call, a count.
+        assert len(row) == len(header)
+        assert row[5].isdigit() and row[9].isdigit()
