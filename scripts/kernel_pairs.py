@@ -15,8 +15,10 @@ two sizes where the `subgroup_oracle` benchmark workload spends its numpy
 time: n = 2592 in F_629857 and n = 4608 in F_147457.  `--cli` times
 `cli.main(["transform", IN, FWD])` and `cli.main(["transform", FWD, BACK,
 "--inverse"])` on one F_147457 file of n = 147456 residues, the size of
-the `cli_file` benchmark workload, written once; it stops with an error
-unless both sides exit 0 and write byte-identical files.  Prints one row
+the `cli_file` benchmark workload, written once, and `cli.read_vector_file`
+alone on the same file, since a whole command dilutes a reader change about
+fourfold; it stops with an error unless both sides exit 0 and write
+byte-identical files, and read equal arrays.  Prints one row
 per field and call: each side's median and quartiles in ms and its median
 minor page faults per call (`getrusage(RUSAGE_SELF).ru_minflt` deltas, all
 threads of the process), the ratio of median times and the number of reps
@@ -31,7 +33,6 @@ A checkout against itself is a noise floor: its ratios scatter around 1.
 
 import argparse
 import importlib.util
-import operator
 import resource
 import sys
 import tempfile
@@ -45,7 +46,7 @@ KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft", "cyclic_convolve_via_fft
 ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
 ORACLE_CALLS = ("dft_naive", "idft_naive")
 CLI_SIZE = (147457, 147456)  # (p, n)
-CLI_CALLS = ("cli_forward", "cli_inverse")
+CLI_CALLS = ("cli_forward", "cli_inverse", "cli_read")
 
 
 def load_package(checkout: str, name: str):
@@ -115,7 +116,7 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
 
 
 def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
-    """Per call, `reps` interleave() rows of `transform` on one file."""
+    """Per call, `reps` interleave() rows of `transform` or the reader on one file."""
     clis = [importlib.import_module(f"{module.__name__}.cli") for module in (base, change)]
     with tempfile.TemporaryDirectory() as tmp:
         src = str(Path(tmp) / "input.vec")
@@ -128,14 +129,17 @@ def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, l
         }
 
         def run(call, side):
+            if call == "cli_read":
+                ms, faults, (_, values) = timed(clis[side].read_vector_file, src)
+                return ms, faults, values
             argv = argvs[call][side]
             Path(argv[2]).unlink(missing_ok=True)
             ms, faults, code = timed(clis[side].main, argv)
             if code != 0:
                 raise SystemExit(f"error: {call} exited {code} on F_{p}")
-            return ms, faults, Path(argv[2]).read_bytes()
+            return ms, faults, np.frombuffer(Path(argv[2]).read_bytes(), np.uint8)
 
-        return interleave(calls, reps, p, run, operator.eq)
+        return interleave(calls, reps, p, run, np.array_equal)
 
 
 def quartiles(values) -> str:

@@ -9,17 +9,20 @@ Both codecs work through the body in blocks of `_BLOCK` lines, with
 vectorized digit loops over scratch arrays that each call allocates once and
 reuses for every block, so apart from the file's bytes and the value array
 their memory is O(block), not O(n).  `read_vector_file` checks the header
-field by field and the line count against it, then checks and parses each
-block; the first bad line, if any, is then parsed on its own, so the error
-names that line as a line-by-line parser would.  The values come back as the
-int64 array the blocks filled, and `transform` hands that array to the
-kernel unconverted.  `write_vector_file` raises `InvalidField` unless p is a
-supported prime modulus and `NotReduced` unless the entries are a 1-D vector
-of integer residues in [0, p), so each file it writes reads back; only then
-does it open the file and format and write it block by block.  The residue
-check is the kernels' own (`transform._coerce_vector`); the writer adds only
-the 1-D test, which keeps a 2-D array a `NotReduced` error, and the empty
-case.
+field by field, then finds every line end in one pass over the body and
+keeps the ends in the int64 value array it returns, which has room for no
+more lines than the body has bytes, and checks their count against the
+header before it judges any line.  Each block then judges its lines from
+their ends, by one test keyed by line length, and overwrites its ends with
+its residues; the first bad line, if any, is then parsed on its own, so the
+error names that line as a line-by-line parser would.  `transform` hands the
+value array to the kernel unconverted.  `write_vector_file` raises
+`InvalidField` unless p is a supported prime modulus and `NotReduced` unless
+the entries are a 1-D vector of integer residues in [0, p), so each file it
+writes reads back; only then does it open the file and format and write it
+block by block.  The residue check is the kernels' own
+(`transform._coerce_vector`); the writer adds only the 1-D test, which keeps
+a 2-D array a `NotReduced` error, and the empty case.
 
 `transform` runs `fft_twiddle` forward and `ifft` with --inverse.
 
@@ -55,13 +58,18 @@ _VARIANT_HELP = (
 def read_vector_file(path: str) -> tuple[int, np.ndarray]:
     """Parse a vector file, returning (p, values). Raises VectorFileError.
 
-    The header is checked field by field and the line count against it
-    before any n-sized allocation.  The body is then checked and parsed in
-    blocks of `_BLOCK` lines, with scratch arrays allocated once per call, so
-    beyond the file's bytes and the returned array the memory used is
-    O(block).  The first bad line, if any, goes through the per-line check,
-    which raises that line's message.  `values` is the 1-D int64 array of
-    residues the blocks filled.
+    The header is checked field by field.  One pass over the body, in chunks
+    of 4 * `_BLOCK` bytes, then finds every line end and stores it in
+    `values`; each line holds its own linefeed, so `values` needs no more
+    entries than the body has bytes, and a header that overstates n gets the
+    count message without an n-sized allocation.  Each block of `_BLOCK`
+    lines is then checked and parsed from its stored ends, with scratch
+    arrays allocated once per call, and its ends are overwritten with its
+    residues; beyond the file's bytes and the returned array the memory used
+    is O(block).  A line is bad when it holds a non-digit, its value is below
+    the least canonical value of its length, or its value is >= p.  The first
+    bad line, if any, goes through the per-line check, which raises that
+    line's message.  `values` is the 1-D int64 array of residues.
     """
     try:
         with open(path, "rb") as fh:
@@ -83,51 +91,40 @@ def read_vector_file(path: str) -> tuple[int, np.ndarray]:
         FieldParams(p)
     except InvalidField as exc:
         raise VectorFileError(f"{path}: header {exc}") from exc
-    # Counted in chunks before any n-sized allocation, so a header that
-    # overstates n gets this message rather than a huge np.empty.
     buf = np.frombuffer(raw, np.uint8)
+    values = np.empty(min(n, len(buf) - body), np.int64)
+    found = 0  # line ends seen, of which values holds the first len(values)
     chunk = 4 * _BLOCK
-    found = sum(np.count_nonzero(buf[i : i + chunk] == 10) for i in range(body, len(buf), chunk))
+    for i in range(body, len(buf), chunk):
+        ends = np.flatnonzero(buf[i : i + chunk] == 10)
+        out = values[found : found + len(ends)]
+        np.add(ends[: len(out)], i, out=out)
+        found += len(ends)
     if found != n:
         raise VectorFileError(f"{path}: header declares {n} values, found {found}")
     width = len(str(p - 1))
-    values = np.empty(n, np.int64)
-    # Scratch: the window's linefeed flags, then per line a length, an index,
-    # a byte, two flags and the value so far, which fits int32 up to 9 digits
-    # and so halves the Horner loop's traffic.
+    # Scratch: per line a length, an index, a byte, two flags, the value so
+    # far and its least canonical value, which fit int32 up to 9 digits and
+    # so halve the Horner loop's traffic.  low[k] is the least canonical
+    # k-digit value; it is p for an empty line and for one longer than p - 1,
+    # so any value read from them falls outside [low, p).
     acc_type = np.int32 if width < 10 else np.int64
-    specs = ((bool, width + 1), (np.uint8,), (np.int64,), (np.uint8,), (bool,), (bool,), (acc_type,))
+    low = np.array([p, 0, *(10**k for k in range(1, width)), p], acc_type)
+    specs = ((np.uint8,), (np.int64,), (np.uint8,), (bool,), (bool,), (acc_type,), (acc_type,))
     start = body  # buf offset of the block's first line
-    for lo, (hits, *scratch) in _blocks(n, *specs):
-        # A block of m lines of at most `width` digits lies in its first
-        # m * (width + 1) bytes.  When that window holds fewer than m line
-        # ends, the line after the last one found is longer than `width`:
-        # a stand-in end just past the window marks it bad for its length.
-        m = len(hits)
-        window = buf[start : start + hits.size]
-        ends = np.flatnonzero(np.equal(window, 10, out=hits.ravel()[: len(window)]))[:m]
-        if len(ends) < m:
-            ends = np.append(ends, len(window))
-        ends += start
-        lengths, pos, digit, bad, mask, acc = (a[: len(ends)] for a in scratch)
+    for lo, (lengths, pos, digit, bad, mask, acc, least) in _blocks(n, *specs):
+        ends = values[lo : lo + len(acc)]
         # Line lengths, capped at width + 1 so that uint8 holds them.
         np.subtract(ends[1:], ends[:-1], out=pos[1:])
         pos[0] = ends[0] - start + 1
         np.minimum(pos, width + 2, out=lengths, casting="unsafe")
         lengths -= 1
         # A line is bad exactly when _parse_decimal rejects it or its value is
-        # >= p: it is empty, has more digits than p - 1, has a leading 0 before
-        # more digits, holds a byte outside 0-9, or is too large.  Digits are
-        # read from the last `width` bytes of each line, all of a line that is
-        # not already bad for its length; the header's bytes, more than
-        # `width`, keep every such index inside buf.
-        np.equal(lengths, 0, out=bad)
-        bad |= np.greater(lengths, width, out=mask)
-        buf[1:].take(ends[:-1], out=digit[1:])  # each line's first byte
-        digit[0] = buf[start]
-        np.equal(digit, 48, out=mask)
-        mask &= lengths > 1
-        bad |= mask
+        # >= p: it holds a byte outside 0-9, or its value is below low for its
+        # length, or too large.  Digits are read from the last `width` bytes of
+        # each line; the header's bytes, more than `width`, keep every such
+        # index inside buf.
+        bad.fill(False)
         acc.fill(0)
         np.subtract(ends, width, out=pos)
         for k in range(width, 0, -1):
@@ -137,15 +134,15 @@ def read_vector_file(path: str) -> tuple[int, np.ndarray]:
             bad |= np.greater(digit, 9, out=mask)
             acc *= 10
             acc += digit
+        bad |= np.less(acc, low.take(lengths, out=least), out=mask)
         bad |= np.greater_equal(acc, p, out=mask)
         if bad.any():
             i = bad.argmax()
             first = int(ends[i - 1]) + 1 if i else start
-            line = raw[first : raw.index(b"\n", first)].decode("ascii")
-            value = _parse_decimal(line, path)
+            value = _parse_decimal(raw[first : ends[i]].decode("ascii"), path)
             raise VectorFileError(f"{path}: value {value} not reduced modulo {p}")
-        values[lo : lo + m] = acc
-        start = int(ends[-1]) + 1
+        start = int(ends[-1]) + 1  # before the ends give way to the values
+        ends[:] = acc
     return p, values
 
 

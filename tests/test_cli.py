@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, vector file round trips, golden outputs."""
 
 import argparse
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -519,8 +520,8 @@ def test_bench_nonpositive_trials(capsys, trials):
 @pytest.mark.parametrize("p", DIFF_MODULI)
 def test_codec_matches_references_at_small_blocks(tmp_path, monkeypatch, p, block):
     # Blocks of 1, 2 and 3 lines put a block boundary beside nearly every
-    # line of these files, and make most too-long lines overrun their
-    # block's byte window.
+    # line of these files, so most first lines of a block take their length
+    # from the last line end of the block before.
     monkeypatch.setattr(smoothntt.cli, "_BLOCK", block)
     test_reader_matches_per_line_reference(tmp_path, p)
     test_writer_matches_str_join(tmp_path, p)
@@ -530,9 +531,8 @@ def test_codec_matches_references_at_small_blocks(tmp_path, monkeypatch, p, bloc
     "low", [pytest.param(0, id="uniform"), pytest.param(10**5, id="six-digit")]
 )
 def test_full_length_file_spans_blocks(tmp_path, low):
-    # F_147457 at n = 147456 is nine blocks.  With six-digit residues the
-    # lines of a block fill its byte window exactly, so a longer line
-    # overruns it.
+    # F_147457 at n = 147456 is nine blocks.  With six-digit residues every
+    # line is as long as p - 1, the longest a valid line can be.
     p, n = 147457, 147456
     block = smoothntt.cli._BLOCK
     assert n > 2 * block
@@ -559,7 +559,7 @@ def test_full_length_file_spans_blocks(tmp_path, low):
 
 # What the codecs allocate beyond their input, output and file bytes, which
 # does not grow with n.  Measured with numpy 2.4.6 at both sizes below: the
-# writer peaks 1.31 MiB over its input and the reader 0.69 MiB over the file's
+# writer peaks 1.31 MiB over its input and the reader 0.50 MiB over the file's
 # bytes plus the 8n-byte value array, where formatting or parsing the whole
 # vector at once took 6.0 and 3.8 MiB at n = 147456, four times that at 4n.
 CODEC_SCRATCH_BYTES = 2 * 2**20
@@ -585,3 +585,36 @@ def test_codec_memory_does_not_grow_with_n(tmp_path, n):
     assert np.array_equal(back, values)
     assert write_extra < CODEC_SCRATCH_BYTES
     assert read_extra < CODEC_SCRATCH_BYTES
+
+
+@pytest.mark.parametrize("n", [10**12, 2**64, 3])
+def test_lying_header_allocates_nothing_n_sized(tmp_path, n):
+    # n = 3 is one more line than the two-byte body could hold.
+    path = tmp_path / "v.txt"
+    write_text(path, f"ntt-vec 1 13 {n}\n1\n")
+    expected = (VectorFileError, f"{path}: header declares {n} values, found 1")
+    assert outcome(reference_read, path) == expected
+    tracemalloc.start()
+    try:
+        assert outcome(read_vector_file, path) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + CODEC_SCRATCH_BYTES
+
+
+@pytest.mark.parametrize("p", [7, 13, 211])
+def test_every_short_line_matches_reference(tmp_path, monkeypatch, p):
+    # Every line of up to width + 1 bytes over 0, 1, 9 and the bytes either
+    # side of the digits: each length meets its least canonical value, and
+    # the digit loop reads, then masks, the bytes of the line before.
+    width = len(str(p - 1))
+    path = tmp_path / "v.txt"
+    for size in range(width + 2):
+        for line in itertools.product(b"019/:", repeat=size):
+            path.write_bytes(f"ntt-vec 1 {p} 2\n1\n".encode() + bytes(line) + b"\n")
+            expected = outcome(reference_read, path)
+            for block in (smoothntt.cli._BLOCK, 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(smoothntt.cli, "_BLOCK", block)
+                    assert outcome(read_vector_file, path) == expected, (bytes(line), block)

@@ -135,7 +135,11 @@ def test_kernel_pairs_times_the_cli():
     out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
     header, *rows = [line.split() for line in out.splitlines()]
     assert header[:3] == ["field", "call", "base_ms_p50"]
-    assert [row[:2] for row in rows] == [["F_147457", "cli_forward"], ["F_147457", "cli_inverse"]]
+    assert [row[:2] for row in rows] == [
+        ["F_147457", "cli_forward"],
+        ["F_147457", "cli_inverse"],
+        ["F_147457", "cli_read"],
+    ]
     for row in rows:
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
 
@@ -158,11 +162,35 @@ def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
     assert "fft_recursive outputs differ on F_3457" in proc.stderr
 
 
+def test_kernel_pairs_stops_when_read_values_differ(tmp_path):
+    # The changed reader returns its values reversed, while `transform` keeps
+    # the true one, so only the cli_read row can catch the difference.
+    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
+    cli = tmp_path / "src" / "smoothntt" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    cli.write_text(
+        source.replace("= read_vector_file(args.input)", "= _read_vector_file(args.input)")
+        + "\n_read_vector_file = read_vector_file\n"
+        "def read_vector_file(path):\n"
+        "    p, values = _read_vector_file(path)\n"
+        "    return p, values[::-1]\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
+         "--cli", "--reps", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "cli_read outputs differ on F_147457" in proc.stderr
+
+
 def test_kernel_pairs_cli_prints_minor_faults():
     out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
     header, *rows = [line.split() for line in out.splitlines()]
     assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
-    assert len(rows) == 2
+    assert len(rows) == 3
     for row in rows:
         # Each side's median getrusage ru_minflt delta per call, a count.
         assert len(row) == len(header)
