@@ -15,10 +15,11 @@ two sizes where the `subgroup_oracle` benchmark workload spends its numpy
 time: n = 2592 in F_629857 and n = 4608 in F_147457.  `--cli` times
 `cli.main(["transform", IN, FWD])` and `cli.main(["transform", FWD, BACK,
 "--inverse"])` on one F_147457 file of n = 147456 residues, the size of
-the `cli_file` benchmark workload, written once, and `cli.read_vector_file`
+the `cli_file` benchmark workload, written once, `cli.read_vector_file`
 alone on the same file, since a whole command dilutes a reader change about
-fourfold; it stops with an error unless both sides exit 0 and write
-byte-identical files, and read equal arrays.  Prints one row
+fourfold, and `cli.write_vector_file` alone on the same values, for the same
+reason; it stops with an error unless both sides exit 0, read equal arrays
+and write byte-identical files.  Prints one row
 per field and call: each side's median and quartiles in ms and its median
 minor page faults per call (`getrusage(RUSAGE_SELF).ru_minflt` deltas, all
 threads of the process), the ratio of median times and the number of reps
@@ -46,7 +47,7 @@ KERNEL_CALLS = ("fft_twiddle", "fft_recursive", "ifft", "cyclic_convolve_via_fft
 ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
 ORACLE_CALLS = ("dft_naive", "idft_naive")
 CLI_SIZE = (147457, 147456)  # (p, n)
-CLI_CALLS = ("cli_forward", "cli_inverse", "cli_read")
+CLI_CALLS = ("cli_forward", "cli_inverse", "cli_read", "cli_write")
 
 
 def load_package(checkout: str, name: str):
@@ -116,13 +117,15 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
 
 
 def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
-    """Per call, `reps` interleave() rows of `transform` or the reader on one file."""
+    """Per call, `reps` interleave() rows of `transform` or a codec on one file."""
     clis = [importlib.import_module(f"{module.__name__}.cli") for module in (base, change)]
     with tempfile.TemporaryDirectory() as tmp:
         src = str(Path(tmp) / "input.vec")
         fwd = [str(Path(tmp) / f"forward{side}.vec") for side in (0, 1)]
         back = [str(Path(tmp) / f"back{side}.vec") for side in (0, 1)]
-        clis[0].write_vector_file(src, p, np.random.default_rng(p).integers(0, p, n))
+        written = [str(Path(tmp) / f"written{side}.vec") for side in (0, 1)]
+        values = np.random.default_rng(p).integers(0, p, n)
+        clis[0].write_vector_file(src, p, values)
         argvs = {
             "cli_forward": [["transform", src, fwd[side]] for side in (0, 1)],
             "cli_inverse": [["transform", fwd[side], back[side], "--inverse"] for side in (0, 1)],
@@ -130,8 +133,12 @@ def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, l
 
         def run(call, side):
             if call == "cli_read":
-                ms, faults, (_, values) = timed(clis[side].read_vector_file, src)
-                return ms, faults, values
+                ms, faults, (_, read) = timed(clis[side].read_vector_file, src)
+                return ms, faults, read
+            if call == "cli_write":
+                Path(written[side]).unlink(missing_ok=True)
+                ms, faults, _ = timed(clis[side].write_vector_file, written[side], p, values)
+                return ms, faults, np.frombuffer(Path(written[side]).read_bytes(), np.uint8)
             argv = argvs[call][side]
             Path(argv[2]).unlink(missing_ok=True)
             ms, faults, code = timed(clis[side].main, argv)

@@ -20,7 +20,10 @@ value array to the kernel unconverted.  `write_vector_file` raises
 `InvalidField` unless p is a supported prime modulus and `NotReduced` unless
 the entries are a 1-D vector of integer residues in [0, p), so each file it
 writes reads back; only then does it open the file and format and write it
-block by block.  The residue check is the kernels' own
+block by block.  Each block's entries are formatted right-aligned in fixed
+digit columns, with every leading zero written as byte 0, and the block's
+bytes are written with their 0 bytes deleted by `bytes.translate`, so no
+mask or index of kept bytes is built.  The residue check is the kernels' own
 (`transform._coerce_vector`); the writer adds only the 1-D test, which keeps
 a 2-D array a `NotReduced` error, and the empty case.
 
@@ -177,9 +180,12 @@ def write_vector_file(path: str, p: int, values) -> None:
     NotReduced comes from the kernels' check, `transform._coerce_vector`,
     for every non-empty 1-D input; an empty sequence writes an n = 0 file.
     The digits of each block of `_BLOCK` entries are formatted into scratch
-    arrays allocated once per call and written straight from them, so beyond
-    the input the memory used is O(block).  Raises VectorFileError when the
-    path cannot be written.
+    arrays allocated once per call, right-aligned in `len(str(p - 1))`
+    columns.  Each leading zero is written as byte 0, which no valid file
+    holds, and the block's bytes go to the file with their 0 bytes deleted
+    (`bytes.translate`), so there is no mask or index of kept bytes and,
+    beyond the input, the memory used is O(block).  Raises VectorFileError
+    when the path cannot be written.
     """
     p = FieldParams(p).p
     arr = np.asarray(values)
@@ -189,27 +195,26 @@ def write_vector_file(path: str, p: int, values) -> None:
         _coerce_vector(arr, len(arr), p)
     width = len(str(p - 1))
     # Row i of a block holds its entry i right-aligned in `width` digit
-    # columns and a final linefeed; `keep` drops the zeros left of the first
-    # significant digit.  Every entry is a residue below p < 2**31, so the
-    # int32 scratch q, s and t holds it.
-    specs = ((np.uint8, width + 1), (bool, width + 1), (np.int32,), (np.int32,), (np.int32,))
+    # columns and a final linefeed.  A digit left of the units column whose
+    # remaining value q is 0 is a leading zero, written as byte 0.  Every
+    # entry is a residue below p < 2**31, so the int32 scratch q, s and t
+    # holds it.
+    specs = ((np.uint8, width + 1), (bool,), (np.int32,), (np.int32,), (np.int32,))
     try:
         with open(path, "wb") as fh:
             fh.write(f"{_MAGIC} {_VERSION} {p} {len(arr)}\n".encode("ascii"))
-            for lo, (rows, keep, q, s, t) in _blocks(len(arr), *specs):
-                if lo == 0:  # columns no block overwrites
-                    rows[:, width] = 10
-                    keep[:, width - 1] = keep[:, width] = True  # 0 writes its units digit
+            for lo, (rows, lead, q, s, t) in _blocks(len(arr), *specs):
+                rows[:, width] = 10
                 q[:] = arr[lo : lo + len(q)]
                 for j in range(width - 1, -1, -1):
                     np.floor_divide(q, 10, out=s)
                     np.multiply(s, 10, out=t)
                     np.subtract(q, t, out=t)
                     np.add(t, 48, out=rows[:, j], casting="unsafe")
+                    if j < width - 1:  # 0 writes its units digit
+                        rows[:, j] *= np.greater(q, 0, out=lead)
                     q, s = s, q
-                    if j:
-                        np.greater(q, 0, out=keep[:, j - 1])
-                fh.write(rows.ravel().compress(keep.ravel()))
+                fh.write(rows.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise VectorFileError(f"cannot write {path}: {exc}") from exc
 

@@ -559,15 +559,16 @@ def test_full_length_file_spans_blocks(tmp_path, low):
 
 # What the codecs allocate beyond their input, output and file bytes, which
 # does not grow with n.  Measured with numpy 2.4.6 at both sizes below: the
-# writer peaks 1.31 MiB over its input and the reader 0.50 MiB over the file's
-# bytes plus the 8n-byte value array, where formatting or parsing the whole
-# vector at once took 6.0 and 3.8 MiB at n = 147456, four times that at 4n.
+# writer peaks 0.54 MiB over its input at F_147457 and 0.73 MiB at
+# F_2013265921, and the reader 0.50 and 0.69 MiB over the file's bytes plus
+# the 8n-byte value array, where formatting or parsing the whole vector at
+# once took 6.0 and 3.8 MiB at F_147457 and n = 147456, four times that at 4n.
 CODEC_SCRATCH_BYTES = 2 * 2**20
 
 
+@pytest.mark.parametrize("p", [147457, 2013265921])
 @pytest.mark.parametrize("n", [147456, 4 * 147456])
-def test_codec_memory_does_not_grow_with_n(tmp_path, n):
-    p = 147457
+def test_codec_memory_does_not_grow_with_n(tmp_path, n, p):
     path = tmp_path / "v.txt"
     tracemalloc.start()
     try:
@@ -583,8 +584,21 @@ def test_codec_memory_does_not_grow_with_n(tmp_path, n):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, values)
-    assert write_extra < CODEC_SCRATCH_BYTES
+    assert write_extra < 2**20
     assert read_extra < CODEC_SCRATCH_BYTES
+
+
+@pytest.mark.parametrize("block", [smoothntt.cli._BLOCK, 7])
+def test_writer_formats_every_residue(tmp_path, monkeypatch, block):
+    # Every residue of F_12289 (p - 1 = 2^12 * 3, five digits) holds every
+    # pattern of interior and trailing zero digits, such as 101, 1001 and
+    # 10010, that a writer deleting its leading zeros must keep.
+    monkeypatch.setattr(smoothntt.cli, "_BLOCK", block)
+    p = 12289
+    path = tmp_path / "v.txt"
+    write_vector_file(path, p, np.arange(p))
+    expected = "\n".join([f"ntt-vec 1 {p} {p}"] + [str(v) for v in range(p)]) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("n", [10**12, 2**64, 3])

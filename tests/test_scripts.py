@@ -139,6 +139,7 @@ def test_kernel_pairs_times_the_cli():
         ["F_147457", "cli_forward"],
         ["F_147457", "cli_inverse"],
         ["F_147457", "cli_read"],
+        ["F_147457", "cli_write"],
     ]
     for row in rows:
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
@@ -186,11 +187,36 @@ def test_kernel_pairs_stops_when_read_values_differ(tmp_path):
     assert "cli_read outputs differ on F_147457" in proc.stderr
 
 
+def test_kernel_pairs_stops_when_written_bytes_differ(tmp_path):
+    # The changed writer appends a byte, while `transform` keeps the true
+    # one, so only the cli_write row can catch the difference.
+    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
+    cli = tmp_path / "src" / "smoothntt" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    cli.write_text(
+        source.replace("    write_vector_file(args.output,", "    _write_vector_file(args.output,")
+        + "\n_write_vector_file = write_vector_file\n"
+        "def write_vector_file(path, p, values):\n"
+        "    _write_vector_file(path, p, values)\n"
+        "    with open(path, 'ab') as fh:\n"
+        "        fh.write(b'1')\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
+         "--cli", "--reps", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "cli_write outputs differ on F_147457" in proc.stderr
+
+
 def test_kernel_pairs_cli_prints_minor_faults():
     out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
     header, *rows = [line.split() for line in out.splitlines()]
     assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
-    assert len(rows) == 3
+    assert len(rows) == 4
     for row in rows:
         # Each side's median getrusage ru_minflt delta per call, a count.
         assert len(row) == len(header)
