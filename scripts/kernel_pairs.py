@@ -19,7 +19,11 @@ the `cli_file` benchmark workload, written once, `cli.read_vector_file`
 alone on the same file, since a whole command dilutes a reader change about
 fourfold, and `cli.write_vector_file` alone on the same values, for the same
 reason; it stops with an error unless both sides exit 0, read equal arrays
-and write byte-identical files.  Prints one row
+and write byte-identical files.  `--plan` times `plan_transform` at n = p - 1
+on a fresh `FieldParams(p)`, built before the clock starts, at the `--fields`
+primes instead, generator search and twiddle table included, and stops with
+an error unless both plans have the same omega, radices and twiddle table.
+Prints one row
 per field and call: each side's median and quartiles in ms and its median
 minor page faults per call (`getrusage(RUSAGE_SELF).ru_minflt` deltas, all
 threads of the process), the ratio of median times and the number of reps
@@ -28,6 +32,7 @@ the change ran faster:
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --reps 21
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --oracle --reps 11
     python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --cli --reps 11
+    python3 scripts/kernel_pairs.py BASE_DIR CHANGE_DIR --plan --reps 41
 
 A checkout against itself is a noise floor: its ratios scatter around 1.
 """
@@ -48,6 +53,7 @@ ORACLE_SIZES = ((629857, 2592), (147457, 4608))  # (p, n)
 ORACLE_CALLS = ("dft_naive", "idft_naive")
 CLI_SIZE = (147457, 147456)  # (p, n)
 CLI_CALLS = ("cli_forward", "cli_inverse", "cli_read", "cli_write")
+PLAN_CALLS = ("plan_transform",)
 
 
 def load_package(checkout: str, name: str):
@@ -116,6 +122,20 @@ def run_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]
     return interleave(calls, reps, p, run, np.array_equal)
 
 
+def same_plan(a, b) -> bool:
+    return (a.omega, a.radices) == (b.omega, b.radices) and np.array_equal(a.twiddles, b.twiddles)
+
+
+def run_plan_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
+    """Per call, `reps` interleave() rows of a fresh length-n plan on F_p."""
+
+    def run(call, side):
+        module = (base, change)[side]
+        return timed(module.plan_transform, module.FieldParams(p), n)
+
+    return interleave(calls, reps, p, run, same_plan)
+
+
 def run_cli_pairs(base, change, p: int, n: int, calls, reps: int) -> dict[str, list]:
     """Per call, `reps` interleave() rows of `transform` or a codec on one file."""
     clis = [importlib.import_module(f"{module.__name__}.cli") for module in (base, change)]
@@ -159,19 +179,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--reps", type=int, default=11)
-    sizes = parser.add_mutually_exclusive_group()
-    sizes.add_argument("--fields", type=int, nargs="+", default=DEFAULT_FIELDS)
-    sizes.add_argument("--oracle", action="store_true")
-    sizes.add_argument("--cli", action="store_true")
+    parser.add_argument("--fields", type=int, nargs="+")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--oracle", action="store_true")
+    modes.add_argument("--cli", action="store_true")
+    modes.add_argument("--plan", action="store_true")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.fields and (args.oracle or args.cli):
+        parser.error("--fields applies to the kernel and --plan rows only")
+    fields = args.fields or DEFAULT_FIELDS
     if args.oracle:
         cases = [(run_pairs, p, n, ORACLE_CALLS) for p, n in ORACLE_SIZES]
     elif args.cli:
         cases = [(run_cli_pairs, *CLI_SIZE, CLI_CALLS)]
+    elif args.plan:
+        cases = [(run_plan_pairs, p, p - 1, PLAN_CALLS) for p in fields]
     else:
-        cases = [(run_pairs, p, p - 1, KERNEL_CALLS) for p in args.fields]
+        cases = [(run_pairs, p, p - 1, KERNEL_CALLS) for p in fields]
     base = load_package(args.base_dir, "smoothntt_base")
     change = load_package(args.change_dir, "smoothntt_change")
     print(

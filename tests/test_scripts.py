@@ -163,6 +163,41 @@ def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
     assert "fft_recursive outputs differ on F_3457" in proc.stderr
 
 
+def test_kernel_pairs_times_the_plan():
+    out = run_script(
+        "kernel_pairs.py", str(ROOT), str(ROOT), "--plan", "--reps", "3", "--fields", "3457", "97"
+    )
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header[:3] == ["field", "call", "base_ms_p50"]
+    assert [row[:2] for row in rows] == [["F_3457", "plan_transform"], ["F_97", "plan_transform"]]
+    for row in rows:
+        wins, reps = row[-1].split("/")
+        assert reps == "3" and 0 <= int(wins) <= 3
+        assert float(row[-2]) > 0
+
+
+def test_kernel_pairs_stops_when_plans_differ(tmp_path):
+    # The changed table is wrong in its last entry only; omega and the
+    # radices still agree, so only the table comparison can catch it.
+    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
+    with open(tmp_path / "src" / "smoothntt" / "transform.py", "a", encoding="utf-8") as f:
+        f.write(
+            "\n_build_twiddle_table = build_twiddle_table\n"
+            "def build_twiddle_table(params, omega, n):\n"
+            "    table = _build_twiddle_table(params, omega, n)\n"
+            "    table[-1] = (table[-1] + 1) % params.p\n"
+            "    return table\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
+         "--plan", "--reps", "1", "--fields", "3457"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "plan_transform outputs differ on F_3457" in proc.stderr
+
+
 def test_kernel_pairs_stops_when_read_values_differ(tmp_path):
     # The changed reader returns its values reversed, while `transform` keeps
     # the true one, so only the cli_read row can catch the difference.

@@ -26,7 +26,7 @@ from smoothntt.errors import (
     WrongOrder,
 )
 from smoothntt.field import FieldParams, fp_pow
-from smoothntt.numtheory import element_order, factorize
+from smoothntt.numtheory import element_order, factorize, find_generator
 import smoothntt.transform as transform_module
 from smoothntt.transform import (
     DigitPermutation,
@@ -59,6 +59,15 @@ def raw_order_reference(radices, n: int) -> np.ndarray:
     Independent of the kernels' raw-order transpose, which it checks.
     """
     return np.array([digit_reverse(radices, s) for s in range(n)], dtype=np.int64)
+
+
+def running_powers(p: int, omega: int, n: int) -> list[int]:
+    """omega^k mod p for k in [0, n), one Python-int product per entry."""
+    out, x = [], 1
+    for _ in range(n):
+        out.append(x)
+        x = x * omega % p
+    return out
 
 
 def convolve_reference(p: int, u, v) -> list[int]:
@@ -161,6 +170,56 @@ def test_twiddle_table_short_lengths():
     assert one.dtype == np.int64 and one.tolist() == [1]
     with pytest.raises(ValueError):
         build_twiddle_table(params, 2, -1)
+
+
+@pytest.mark.parametrize("p", [3, 13, 97, 193])
+def test_twiddle_table_matches_running_product(p):
+    # Every n in [0, 3p) takes one of the two build paths: a half-turn, where
+    # omega^(n/2) = -1 (an order-n omega, a generator at n = p - 1 and
+    # 3(p - 1), p - 1 at n = 2, 6, ...), or doubling to n (odd n, n <= 1,
+    # omega = 0 and every other case).
+    params = FieldParams(p)
+    omegas = {find_generator(params, d) for d in range(1, p) if (p - 1) % d == 0}
+    omegas |= {0, p - 1, -3, p + 5, 2 * p + 1, int(np.random.default_rng(p).integers(0, p))}
+    for omega in omegas:
+        powers = running_powers(p, omega, 3 * p)
+        for n in range(3 * p):
+            assert build_twiddle_table(params, omega, n).tolist() == powers[:n], (omega, n)
+    assert build_twiddle_table(params, p - 1, 2).tolist() == [1, p - 1]
+
+
+def test_twiddle_table_full_length_matches_running_product():
+    p = 147457
+    params = FieldParams(p)
+    omega = find_generator(params, p - 1)
+    assert build_twiddle_table(params, omega, p - 1).tolist() == running_powers(p, omega, p - 1)
+
+
+def test_twiddle_table_converts_integers():
+    params = FieldParams(97)
+    table = build_twiddle_table(params, np.int64(5), np.int64(96))
+    assert np.array_equal(table, build_twiddle_table(params, 5, 96))
+    with pytest.raises(TypeError):
+        build_twiddle_table(params, 5.0, 96)
+    with pytest.raises(TypeError):
+        build_twiddle_table(params, 5, 96.0)
+
+
+def test_twiddle_table_peak_memory():
+    # With a half-turn the doubling reduces through the unwritten second
+    # half, so the build holds only the 8n-byte table; otherwise it holds
+    # one scratch array of n // 2 entries beside it.
+    p = 147457
+    params = FieldParams(p)
+    generator = find_generator(params, p - 1)
+    for omega, n, scratch in ((generator, p - 1, 0), (1, p - 1, 4), (generator, p - 2, 4)):
+        tracemalloc.start()
+        try:
+            build_twiddle_table(params, omega, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + scratch) * n + 16 * 1024, (omega, n, peak / n)
 
 
 def test_twiddle_table_group_law(plan9796):
