@@ -23,7 +23,7 @@ coefficient indices).
 
 A stage evaluates that polynomial by Horner's rule in its first h output
 rows, one row Z = Y[:, l1] at a time: Z starts as the top leg
-X[:, r-1, :] times omega^0, and each of the r - 1 steps multiplies Z by
+X[:, r-1, :] times omega^0 = 1, and each of the r - 1 steps multiplies Z by
 e1[:, l1], reduces it where the bound below requires, and adds the next
 lower leg.  The variants differ only in h, and `_stage_rows` is the one
 rule that sets it, for the kernel and for `predicted_counts` alike.  A
@@ -101,7 +101,7 @@ scratch array.  At F_786433, n = 786432, that build took 1.07 ms against
 and F_147457; medians of 41 interleaved calls, numpy 2.4.6, 2-core x86-64
 host).
 
-A stage reads only X, e1 and omega^0 and writes only Y, through `out=`
+A stage reads only X and e1 and writes only Y, through `out=`
 ufuncs and in-place operators, and the transpose copy writes the free
 buffer, so each kernel call owns two n-element int64 buffers, the private
 copy of its input and the stage output; only the reduce-first pass writes
@@ -481,7 +481,7 @@ def _run_stages(
         if split and (m > 1 if transposed else L < 4):  # halve the columns, which share e1
             X, Y, e1 = (a.transpose(2, 1, 0) for a in (X, Y, e1))
         h = _stage_rows(variant, r)
-        _halves(split, _stage, X, Y, e1, r, h, p, table[0], bound)
+        _halves(split, _stage, X, Y, e1, r, h, p, bound)
         if counter is not None:
             counter.multiplications += Y[:, :h].size * r
             counter.additions += Y[:, :h].size * (r - 1) + Y[:, h:].size
@@ -493,7 +493,7 @@ def _run_stages(
 
 
 def _stage(
-    X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, one, bound: int
+    X: np.ndarray, Y: np.ndarray, e1: np.ndarray, r: int, h: int, p: int, bound: int
 ) -> None:
     """One Horner stage from the (l0, j, column) view X into the (l0, l1, column) view Y.
 
@@ -502,7 +502,7 @@ def _stage(
     at once: `_stage` only indexes the middle axis, so a column split
     passes them reversed and `_halves` cuts the columns.  Horner's rule on
     the first h rows, one row at a time, seeded with the top leg times
-    one = omega^0 as the counts assume.  bound is the exclusive bound on
+    omega^0 = 1 as the counts assume.  bound is the exclusive bound on
     |entry| of X.  A step reduces Z only when it is the last or when the
     next step's product could reach 2**63, so every row ends reduced and
     each output stays below bound + p.  A twiddle radix-2 stage evaluates
@@ -510,7 +510,7 @@ def _stage(
     """
     for l1 in range(h):
         Z = Y[:, l1]
-        np.multiply(X[:, r - 1, :], one, out=Z)
+        np.multiply(X[:, r - 1, :], 1, out=Z)
         b = bound  # exclusive bound on |Z|
         for j in range(r - 2, -1, -1):
             Z *= e1[:, l1]

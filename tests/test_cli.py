@@ -2,12 +2,14 @@
 
 import argparse
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import smoothntt.cli
+from smoothntt.bench import CSV_HEADER
 from smoothntt.cli import build_parser, main, read_vector_file, write_vector_file
 from smoothntt.errors import InvalidField, NotReduced, VectorFileError
 from smoothntt.field import FieldParams
@@ -16,6 +18,11 @@ from smoothntt.transform import fft_twiddle, ifft, plan_transform
 
 def write_text(path, text):
     path.write_bytes(text.encode("latin-1"))
+
+
+def vector_text(p, values):
+    """A vector file's text, joined here rather than by the writer under test."""
+    return "\n".join([f"ntt-vec 1 {p} {len(values)}"] + [str(v) for v in values]) + "\n"
 
 
 def test_vector_file_round_trip(tmp_path):
@@ -205,7 +212,7 @@ def test_reader_matches_per_line_reference(tmp_path, p):
     for n in (0, 1, 2, 5, 12):
         pool = residues_with_boundaries(rng, p, n)
         values = [pool[i] for i in rng.integers(0, len(pool), n)]
-        valid = ("\n".join([f"ntt-vec 1 {p} {n}"] + [str(v) for v in values]) + "\n").encode()
+        valid = vector_text(p, values).encode()
         path.write_bytes(valid)
         assert outcome(read_vector_file, path) == (p, values)
         for _ in range(160):
@@ -228,7 +235,7 @@ def test_reader_matches_per_line_reference(tmp_path, p):
 def test_writer_matches_str_join(tmp_path, p):
     rng = np.random.default_rng(p + 1)
     values = residues_with_boundaries(rng, p, 200)
-    expected = ("\n".join([f"ntt-vec 1 {p} {len(values)}"] + [str(v) for v in values]) + "\n").encode()
+    expected = vector_text(p, values).encode()
     path = tmp_path / "v.txt"
     for given in (values, np.array(values, dtype=np.int64), np.array(values, dtype=np.uint64)):
         write_vector_file(path, p, given)
@@ -281,13 +288,38 @@ def test_transform_example(tmp_path, capsys):
     assert outcome(read_vector_file, dst) == (5, [0, 4, 3, 2])
 
 
-def test_transform_round_trip(tmp_path):
+@pytest.mark.parametrize(
+    "p, values, omega",
+    [
+        pytest.param(97, range(96), None, id="F_97-n96"),
+        pytest.param(13, [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], None, id="F_13-n12"),
+        # An odd length has no half-turn, so its table is doubled to n.
+        pytest.param(13, [4, 0, 12], None, id="F_13-n3-odd"),
+        # 782862608 has order 12 mod 2013265921.
+        pytest.param(
+            2013265921,
+            [0, 1, 9, 10, 99, 100, 999999999, 1000000000, 2013265920, 7, 123456789, 2013265919],
+            782862608,
+            id="F_2013265921-n12",
+        ),
+        # Two codec blocks of 10-digit lines; 2009781145 = 31^((p - 1)/32768)
+        # has order 32768, so no generator scan runs.
+        pytest.param(
+            2013265921, range(10**9, 10**9 + 32768), 2009781145, id="F_2013265921-n32768"
+        ),
+        # More lines than two codec blocks hold.
+        pytest.param(147457, range(36864), None, id="F_147457-n36864"),
+    ],
+)
+def test_transform_round_trip(tmp_path, p, values, omega):
+    # Forward then inverse gives back the input file byte for byte.
     src = tmp_path / "in.txt"
     mid = tmp_path / "mid.txt"
     back = tmp_path / "back.txt"
-    write_vector_file(src, 97, list(range(96)))
-    assert main(["transform", str(src), str(mid)]) == 0
-    assert main(["transform", str(mid), str(back), "--inverse"]) == 0
+    write_text(src, vector_text(p, values))
+    given = [] if omega is None else ["--omega", str(omega)]
+    assert main(["transform", str(src), str(mid)] + given) == 0
+    assert main(["transform", str(mid), str(back), "--inverse"] + given) == 0
     assert back.read_bytes() == src.read_bytes()
 
 
@@ -339,18 +371,30 @@ def test_transform_malformed_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-@pytest.mark.parametrize("content, message", OVERSIZE)
-def test_transform_oversize_decimal_exits_2(tmp_path, capsys, content, message):
-    src = tmp_path / "in.txt"
-    dst = tmp_path / "out.txt"
-    write_text(src, content)
-    assert main(["transform", str(src), str(dst)]) == 2
-    assert not dst.exists()
-    assert capsys.readouterr().err == f"error: {src}: {message}\n"
-
-
-@pytest.mark.parametrize("content, message", OUT_OF_RANGE)
-def test_transform_modulus_out_of_range_exits_2(tmp_path, capsys, content, message):
+@pytest.mark.parametrize(
+    "content, message",
+    OVERSIZE
+    + OUT_OF_RANGE
+    + [
+        malformed("ntt-vec 1 5 1\n7\n", "value 7 not reduced modulo 5", id="unreduced-value"),
+        malformed(
+            "ntt-vec 1 13 2\n1\n01\n", "'01' is not a canonical decimal", id="bad-after-good"
+        ),
+        malformed(
+            "ntt-vec 1 13 1000000000000\n1\n",
+            "header declares 1000000000000 values, found 1",
+            id="lying-header",
+        ),
+        # F_147457 at n = 36864, three codec blocks, with file line 36000
+        # (value 35998, after the header) made "0123".
+        malformed(
+            vector_text(147457, [v if v != 35998 else "0123" for v in range(36864)]),
+            "'0123' is not a canonical decimal",
+            id="bad-line-in-third-block",
+        ),
+    ],
+)
+def test_transform_bad_file_exits_2(tmp_path, capsys, content, message):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"
     write_text(src, content)
@@ -445,9 +489,15 @@ def test_generator_bad_subgroup(capsys):
 
 
 def test_primes_table(capsys):
+    assert main(["primes", "--min", "65536", "--max", "65538"]) == 0
+    assert capsys.readouterr().out == "65537 2^16 3\n"
     assert main(["primes", "--min", "65536", "--max", "2097152"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
+    # The paper's 15 primes, each proven by is_prime's (2, 7, 61) witnesses.
+    assert [line.split()[0] for line in lines] == [
+        "65537", "139969", "147457", "209953", "331777", "472393", "629857", "746497",
+        "786433", "839809", "995329", "1179649", "1492993", "1769473", "1990657",
+    ]
     assert lines[0] == "65537 2^16 3"
     assert lines[2] == "147457 2^14*3^2 10"
     assert lines[8] == "786433 2^18*3 10"
@@ -480,14 +530,20 @@ def test_primes_bad_factor_list_exits_3(capsys, factors):
     assert out.err == f"error: bad factor list {factors!r}\n"
 
 
-def test_bench_csv_golden(capsys):
-    code = main(
-        ["bench", "5", "--n", "4", "--variant", "recursive", "--format", "csv", "--trials", "3"]
-    )
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    cells = lines[1].split(",")
-    assert cells[6] == "16"  # pred_mul for n=4 recursive
+@pytest.mark.parametrize(
+    "p, n, cells",
+    [
+        pytest.param(5, 4, "5,4,2*2,recursive,16,8,16,8", id="F_5-n4"),
+        pytest.param(97, 96, "97,96,2*2*2*2*2*3,recursive,1248,672,1248,672", id="F_97-n96"),
+    ],
+)
+def test_bench_csv_golden(capsys, p, n, cells):
+    argv = ["bench", str(p), "--n", str(n), "--variant", "recursive", "--format", "csv"]
+    assert main(argv + ["--trials", "3"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER  # the literal test_csv_header_literal pins
+    # p, n, radices, variant, then measured and predicted counts.
+    assert row.split(",")[:8] == cells.split(",")
 
 
 def test_bench_headline_csv(capsys):
@@ -501,7 +557,10 @@ def test_bench_headline_csv(capsys):
 def test_bench_subgroup_runs(capsys):
     code = main(["bench", "147457", "--n", "576", "--trials", "3"])
     assert code == 0
-    assert "576" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "576" in out
+    # n = 576 is below the direct-timing cutoff, so bench runs dft_naive.
+    assert re.search(r"^direct wall clock \d+ ns$", out, re.MULTILINE)
 
 
 def test_bench_plan_error(capsys):
@@ -597,8 +656,7 @@ def test_writer_formats_every_residue(tmp_path, monkeypatch, block):
     p = 12289
     path = tmp_path / "v.txt"
     write_vector_file(path, p, np.arange(p))
-    expected = "\n".join([f"ntt-vec 1 {p} {p}"] + [str(v) for v in range(p)]) + "\n"
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == vector_text(p, range(p)).encode()
 
 
 @pytest.mark.parametrize("n", [10**12, 2**64, 3])

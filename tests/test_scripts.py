@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -141,26 +143,12 @@ def test_kernel_pairs_times_the_cli():
         ["F_147457", "cli_read"],
         ["F_147457", "cli_write"],
     ]
+    assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
     for row in rows:
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
-
-
-def test_kernel_pairs_stops_when_outputs_differ(tmp_path):
-    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
-    with open(tmp_path / "src" / "smoothntt" / "transform.py", "a", encoding="utf-8") as f:
-        f.write(
-            "\n_fft_recursive = fft_recursive\n"
-            "def fft_recursive(plan, v):\n"
-            "    return (_fft_recursive(plan, v) + 1) % plan.p\n"
-        )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
-         "--reps", "1", "--fields", "3457"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "fft_recursive outputs differ on F_3457" in proc.stderr
+        # Each side's median getrusage ru_minflt delta per call, a count.
+        assert len(row) == len(header)
+        assert row[5].isdigit() and row[9].isdigit()
 
 
 def test_kernel_pairs_times_the_plan():
@@ -176,83 +164,79 @@ def test_kernel_pairs_times_the_plan():
         assert float(row[-2]) > 0
 
 
-def test_kernel_pairs_stops_when_plans_differ(tmp_path):
-    # The changed table is wrong in its last entry only; omega and the
-    # radices still agree, so only the table comparison can catch it.
+@pytest.mark.parametrize(
+    "module, edit, flags, message",
+    [
+        pytest.param(
+            "transform.py",
+            lambda source: source + (
+                "\n_fft_recursive = fft_recursive\n"
+                "def fft_recursive(plan, v):\n"
+                "    return (_fft_recursive(plan, v) + 1) % plan.p\n"
+            ),
+            ["--fields", "3457"],
+            "fft_recursive outputs differ on F_3457",
+            id="fft_recursive",
+        ),
+        # The changed table is wrong in its last entry only; omega and the
+        # radices still agree, so only the table comparison can catch it.
+        pytest.param(
+            "transform.py",
+            lambda source: source + (
+                "\n_build_twiddle_table = build_twiddle_table\n"
+                "def build_twiddle_table(params, omega, n):\n"
+                "    table = _build_twiddle_table(params, omega, n)\n"
+                "    table[-1] = (table[-1] + 1) % params.p\n"
+                "    return table\n"
+            ),
+            ["--plan", "--fields", "3457"],
+            "plan_transform outputs differ on F_3457",
+            id="plan_transform",
+        ),
+        # The changed reader returns its values reversed, while `transform`
+        # keeps the true one, so only the cli_read row can catch the difference.
+        pytest.param(
+            "cli.py",
+            lambda source: source.replace(
+                "= read_vector_file(args.input)", "= _read_vector_file(args.input)"
+            ) + (
+                "\n_read_vector_file = read_vector_file\n"
+                "def read_vector_file(path):\n"
+                "    p, values = _read_vector_file(path)\n"
+                "    return p, values[::-1]\n"
+            ),
+            ["--cli"],
+            "cli_read outputs differ on F_147457",
+            id="cli_read",
+        ),
+        # The changed writer appends a byte, while `transform` keeps the true
+        # one, so only the cli_write row can catch the difference.
+        pytest.param(
+            "cli.py",
+            lambda source: source.replace(
+                "    write_vector_file(args.output,", "    _write_vector_file(args.output,"
+            ) + (
+                "\n_write_vector_file = write_vector_file\n"
+                "def write_vector_file(path, p, values):\n"
+                "    _write_vector_file(path, p, values)\n"
+                "    with open(path, 'ab') as fh:\n"
+                "        fh.write(b'1')\n"
+            ),
+            ["--cli"],
+            "cli_write outputs differ on F_147457",
+            id="cli_write",
+        ),
+    ],
+)
+def test_kernel_pairs_stops_when_a_row_differs(tmp_path, module, edit, flags, message):
     shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
-    with open(tmp_path / "src" / "smoothntt" / "transform.py", "a", encoding="utf-8") as f:
-        f.write(
-            "\n_build_twiddle_table = build_twiddle_table\n"
-            "def build_twiddle_table(params, omega, n):\n"
-            "    table = _build_twiddle_table(params, omega, n)\n"
-            "    table[-1] = (table[-1] + 1) % params.p\n"
-            "    return table\n"
-        )
+    path = tmp_path / "src" / "smoothntt" / module
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
-         "--plan", "--reps", "1", "--fields", "3457"],
+         "--reps", "1", *flags],
         capture_output=True,
         text=True,
     )
     assert proc.returncode != 0
-    assert "plan_transform outputs differ on F_3457" in proc.stderr
-
-
-def test_kernel_pairs_stops_when_read_values_differ(tmp_path):
-    # The changed reader returns its values reversed, while `transform` keeps
-    # the true one, so only the cli_read row can catch the difference.
-    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
-    cli = tmp_path / "src" / "smoothntt" / "cli.py"
-    source = cli.read_text(encoding="utf-8")
-    cli.write_text(
-        source.replace("= read_vector_file(args.input)", "= _read_vector_file(args.input)")
-        + "\n_read_vector_file = read_vector_file\n"
-        "def read_vector_file(path):\n"
-        "    p, values = _read_vector_file(path)\n"
-        "    return p, values[::-1]\n",
-        encoding="utf-8",
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
-         "--cli", "--reps", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "cli_read outputs differ on F_147457" in proc.stderr
-
-
-def test_kernel_pairs_stops_when_written_bytes_differ(tmp_path):
-    # The changed writer appends a byte, while `transform` keeps the true
-    # one, so only the cli_write row can catch the difference.
-    shutil.copytree(ROOT / "src" / "smoothntt", tmp_path / "src" / "smoothntt")
-    cli = tmp_path / "src" / "smoothntt" / "cli.py"
-    source = cli.read_text(encoding="utf-8")
-    cli.write_text(
-        source.replace("    write_vector_file(args.output,", "    _write_vector_file(args.output,")
-        + "\n_write_vector_file = write_vector_file\n"
-        "def write_vector_file(path, p, values):\n"
-        "    _write_vector_file(path, p, values)\n"
-        "    with open(path, 'ab') as fh:\n"
-        "        fh.write(b'1')\n",
-        encoding="utf-8",
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "kernel_pairs.py"), str(ROOT), str(tmp_path),
-         "--cli", "--reps", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "cli_write outputs differ on F_147457" in proc.stderr
-
-
-def test_kernel_pairs_cli_prints_minor_faults():
-    out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
-    header, *rows = [line.split() for line in out.splitlines()]
-    assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
-    assert len(rows) == 4
-    for row in rows:
-        # Each side's median getrusage ru_minflt delta per call, a count.
-        assert len(row) == len(header)
-        assert row[5].isdigit() and row[9].isdigit()
+    assert message in proc.stderr
