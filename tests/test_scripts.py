@@ -133,9 +133,15 @@ def test_kernel_pairs_times_the_oracle():
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
 
 
-def test_kernel_pairs_times_the_cli():
+@pytest.fixture(scope="module")
+def kernel_pairs_cli_table():
+    # One `--cli --reps 1` run, read by both CLI tests below.
     out = run_script("kernel_pairs.py", str(ROOT), str(ROOT), "--cli", "--reps", "1")
-    header, *rows = [line.split() for line in out.splitlines()]
+    return [line.split() for line in out.splitlines()]
+
+
+def test_kernel_pairs_times_the_cli(kernel_pairs_cli_table):
+    header, *rows = kernel_pairs_cli_table
     assert header[:3] == ["field", "call", "base_ms_p50"]
     assert [row[:2] for row in rows] == [
         ["F_147457", "cli_forward"],
@@ -143,9 +149,15 @@ def test_kernel_pairs_times_the_cli():
         ["F_147457", "cli_read"],
         ["F_147457", "cli_write"],
     ]
-    assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
     for row in rows:
         assert row[-1] in ("0/1", "1/1") and float(row[-2]) > 0
+
+
+def test_kernel_pairs_cli_prints_minor_faults(kernel_pairs_cli_table):
+    header, *rows = kernel_pairs_cli_table
+    assert header[5] == "base_minflt_p50" and header[9] == "change_minflt_p50"
+    assert len(rows) == 4
+    for row in rows:
         # Each side's median getrusage ru_minflt delta per call, a count.
         assert len(row) == len(header)
         assert row[5].isdigit() and row[9].isdigit()
